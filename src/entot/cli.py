@@ -37,7 +37,7 @@ from .harness import (
 )
 from .inference import ci_two_sample, sinkhorn_divergence
 from .measures import load_measure
-from .sinkhorn import SolverConfig, cost, solve
+from .sinkhorn import SolverConfig, _solved_cost
 
 
 def _fmt17(x) -> str:
@@ -113,8 +113,7 @@ def _load_inputs(args):
 
 def _cmd_solve(args) -> int:
     P, Q, cfg = _load_inputs(args)
-    pair, report = solve(P, Q, cfg)
-    value = cost(P, Q, pair, tol=cfg.tol)
+    pair, report, value = _solved_cost(P, Q, cfg)
     _print_table([
         ("cost", _fmt6(value)),
         ("dual", _fmt6(report.dual_value)),
@@ -139,8 +138,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_cost(args) -> int:
     P, Q, cfg = _load_inputs(args)
-    pair, _ = solve(P, Q, cfg)
-    value = cost(P, Q, pair, tol=cfg.tol)
+    value = _solved_cost(P, Q, cfg)[2]
     print(_fmt17(value))
     if args.out:
         _write_records(args.out, [("cost", "", _fmt17(value))])

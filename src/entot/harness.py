@@ -38,7 +38,7 @@ from .potentials import (
     f_extension,
     holder_norm,
 )
-from .sinkhorn import Normalization, SolverConfig, cost, normalize, solve
+from .sinkhorn import Normalization, SolverConfig, _solved_cost, normalize, solve
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -251,8 +251,7 @@ class _DiscreteScenario:
             P, Q = self._pairs[d]
             solver = SolverConfig(eps=eps, tol=_TRUTH_TOL,
                                   max_iter=max(self.cfg.solver.max_iter, 10**6))
-            pair, _ = solve(P, Q, solver)
-            self._truths[key] = cost(P, Q, pair, tol=_TRUTH_TOL)
+            self._truths[key] = _solved_cost(P, Q, solver)[2]
         return self._truths[key]
 
     def populations(self) -> tuple:
@@ -400,8 +399,7 @@ def run_bias_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
 def bias_replicate(P_emp: DiscreteMeasure, Q: DiscreteMeasure,
                    solver: SolverConfig, truth: float) -> float:
     """Cost of one empirical problem minus the population cost."""
-    pair, _ = solve(P_emp, Q, solver)
-    return cost(P_emp, Q, pair, tol=solver.tol) - truth
+    return _solved_cost(P_emp, Q, solver)[2] - truth
 
 
 def run_potential_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
@@ -481,8 +479,7 @@ def run_divergence_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
         P, _ = scenario.pair(d)
         for eps in cfg.eps_list:
             solver = replace(cfg.solver, eps=eps)
-            pop_pair, _ = solve(P, P, solver)
-            s_pop_self = cost(P, P, pop_pair, tol=solver.tol)
+            s_pop_self = _solved_cost(P, P, solver)[2]
             one_samples = []
             two_samples = []
             for n in cfg.n_list:
@@ -493,10 +490,10 @@ def run_divergence_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
                     P_n = sample_empirical(P, n, stream)
                     P2_n = sample_empirical(P, n, stream)
                     try:
-                        s_nn = _plain_cost(P_n, P_n, solver)
-                        s_np = _plain_cost(P_n, P, solver)
-                        s_22 = _plain_cost(P2_n, P2_n, solver)
-                        s_12 = _plain_cost(P_n, P2_n, solver)
+                        s_nn = _solved_cost(P_n, P_n, solver)[2]
+                        s_np = _solved_cost(P_n, P, solver)[2]
+                        s_22 = _solved_cost(P2_n, P2_n, solver)[2]
+                        s_12 = _solved_cost(P_n, P2_n, solver)[2]
                     except NotConverged:
                         return None
                     one_sample = s_np - 0.5 * (s_nn + s_pop_self)
@@ -514,11 +511,6 @@ def run_divergence_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
             ))
     return RateResult(kind=cfg.kind, config=cfg, curves=tuple(curves),
                       populations=scenario.populations())
-
-
-def _plain_cost(A: DiscreteMeasure, B: DiscreteMeasure, solver: SolverConfig) -> float:
-    pair, _ = solve(A, B, solver)
-    return cost(A, B, pair, tol=solver.tol)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1):

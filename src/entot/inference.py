@@ -3,9 +3,7 @@
 The asymptotic variance of the empirical transport cost is the variance of
 the empirical potential under the sampled measure, so the interval half-width
 is ``z * sqrt(var/n)`` (one sample) or ``z * sqrt(var * (n+m)/(n*m))`` (two
-samples). The normal quantile is computed by bisection on a series/continued
-fraction evaluation of the normal CDF rather than a closed-form
-approximation.
+samples). The normal CDF and quantile come from the standard library.
 """
 
 from __future__ import annotations
@@ -16,12 +14,9 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, OutOfRange
 from .measures import DiscreteMeasure
-from .sinkhorn import PotentialPair, SolverConfig, cost, solve
+from .sinkhorn import PotentialPair, SolverConfig, _solved_cost
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
-# Series/continued-fraction split point for erf, in erf's own argument.
-_ERF_SPLIT = 2.0
 
 
 class VarianceKind(enum.Enum):
@@ -99,56 +94,19 @@ def variance_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure,
     return VarianceEstimate(value=value, kind=VarianceKind.TWO_SAMPLE, n=n, m=m)
 
 
-def _erf_series(x: float) -> float:
-    # Maclaurin series; used for |x| <= _ERF_SPLIT where it loses < 1e-14.
-    term = x
-    total = x
-    n = 0
-    while abs(term) > 1e-20 * max(1.0, abs(total)):
-        term *= -x * x * (2 * n + 1) / ((n + 1) * (2 * n + 3))
-        total += term
-        n += 1
-        if n > 200:  # pragma: no cover
-            break
-    return 2.0 / _SQRT_PI * total
-
-
-def _erfc_cf(x: float, depth: int = 300) -> float:
-    # Laplace continued fraction for the complementary function, x > 0.
-    t = 0.0
-    for k in range(depth, 0, -1):
-        t = (k / 2.0) / (x + t)
-    return math.exp(-x * x) / _SQRT_PI / (x + t)
-
-
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF accurate to ~1e-15 over the float range."""
-    z = x / _SQRT_2
-    if z < -_ERF_SPLIT:
-        return 0.5 * _erfc_cf(-z)
-    if z > _ERF_SPLIT:
-        return 1.0 - 0.5 * _erfc_cf(z)
-    return 0.5 * (1.0 + _erf_series(z))
+    """Standard normal CDF, accurate to relative rounding in both tails."""
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
 def normal_quantile(beta: float) -> float:
-    """beta quantile of the standard normal, by bisection to 1e-12 width."""
+    """beta quantile of the standard normal."""
     if not 0.0 < beta < 1.0:
         raise OutOfRange(f"beta must lie strictly in (0, 1), got {beta!r}")
-    lo, hi = -1.0, 1.0
-    while normal_cdf(lo) > beta:
-        lo *= 2.0
-    while normal_cdf(hi) < beta:
-        hi *= 2.0
-    for _ in range(200):
-        if hi - lo <= 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < beta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # Imported here: statistics pulls in fractions and decimal, a few ms.
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(beta)
 
 
 def one_sample_half_width(variance_value: float, n: int, z: float) -> float:
@@ -164,8 +122,7 @@ def ci_one_sample(P_n: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
     """Interval for the population cost from one empirical measure."""
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    pair, _ = solve(P_n, Q, cfg)
-    center = cost(P_n, Q, pair, tol=cfg.tol)
+    pair, _, center = _solved_cost(P_n, Q, cfg)
     var = variance_one_sample(P_n, pair)
     z = normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceInterval(
@@ -181,8 +138,7 @@ def ci_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure, cfg: SolverConfig,
     """Interval for the population cost from two empirical measures."""
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"alpha must lie strictly in (0, 1), got {alpha!r}")
-    pair, _ = solve(P_n, Q_m, cfg)
-    center = cost(P_n, Q_m, pair, tol=cfg.tol)
+    pair, _, center = _solved_cost(P_n, Q_m, cfg)
     var = variance_two_sample(P_n, Q_m, pair)
     z = normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceInterval(
@@ -196,12 +152,9 @@ def ci_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure, cfg: SolverConfig,
 def sinkhorn_divergence(P: DiscreteMeasure, Q: DiscreteMeasure,
                         cfg: SolverConfig) -> DivergenceValue:
     """Three solves at one configuration, assembled into the divergence."""
-    pair_pq, _ = solve(P, Q, cfg)
-    s_pq = cost(P, Q, pair_pq, tol=cfg.tol)
-    pair_pp, _ = solve(P, P, cfg)
-    s_pp = cost(P, P, pair_pp, tol=cfg.tol)
-    pair_qq, _ = solve(Q, Q, cfg)
-    s_qq = cost(Q, Q, pair_qq, tol=cfg.tol)
+    s_pq = _solved_cost(P, Q, cfg)[2]
+    s_pp = _solved_cost(P, P, cfg)[2]
+    s_qq = _solved_cost(Q, Q, cfg)[2]
     return DivergenceValue(
         value=s_pq - 0.5 * (s_pp + s_qq),
         eps=cfg.eps,

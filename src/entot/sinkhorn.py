@@ -1,14 +1,20 @@
-"""Log-domain solver for the entropically regularized transport dual.
+"""Solver for the entropically regularized transport dual.
 
-All iterations run on log-scale quantities with max-shifted log-sum-exp, so
-small regularization values stay stable. The ground cost is the half squared
-Euclidean distance between support points; it is materialized densely below a
-configurable entry budget and recomputed in row blocks above it.
+The ground cost is the half squared Euclidean distance between support
+points. Below a configurable entry budget a solve holds one dense operator:
+the Gibbs kernel ``K = exp(-C/eps)``, on which a half-step is one
+matrix-vector product of max-shifted scalings. When a kernel row or column
+sum falls below ``_KERNEL_FLOOR`` (``K`` has underflowed where it matters),
+that half-step is redone on log-scale quantities with max-shifted
+log-sum-exp, and the solve stays in the log domain from then on, with the
+cost rebuilt into the same array. Above the budget the cost is recomputed in
+row blocks and every half-step runs in the log domain.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +25,17 @@ from .measures import DiscreteMeasure
 # Above this many cost-matrix entries the solver streams row blocks instead
 # of holding the dense matrix (16M entries ~ 128 MB of float64).
 DENSE_ENTRY_LIMIT = 16_000_000
+
+# A kernel sum at or above this floor is exact to double precision: terms
+# lost to underflow are each below 2.3e-308, so even 16M of them amount to
+# less than 1e-100 of the sum. Below it the half-step is redone in the log
+# domain.
+_KERNEL_FLOOR = 1e-200
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
 
 
 class Normalization(enum.Enum):
@@ -38,10 +55,9 @@ class SolverConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_eps(self.eps)
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -62,8 +78,7 @@ class PotentialPair:
     def __post_init__(self):
         f = np.array(self.f, dtype=np.float64).reshape(-1)
         g = np.array(self.g, dtype=np.float64).reshape(-1)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        _check_eps(self.eps)
         f.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "f", f)
@@ -88,10 +103,22 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What one :func:`solve` did.
+
+    ``optimality_residual`` is the two-sided residual of the returned pair,
+    as :func:`optimality_residual` defines it. ``path`` names the half-step
+    arithmetic: ``"kernel"``, ``"kernel+log"`` (a kernel sum underflowed and
+    the rest of the solve ran in the log domain) or ``"blocked"`` (cost
+    streamed in row blocks, log domain). A report built without a path says
+    ``"log"``: every half-step in the log domain, as solves once ran.
+    """
+
     iterations: int
     final_residual: float
     dual_value: float
     converged: bool
+    optimality_residual: float = math.inf
+    path: str = "log"
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -99,31 +126,48 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
         return np.where(w > 0, np.log(np.maximum(w, np.finfo(np.float64).tiny)), -np.inf)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
+    """Max-shifted log-sum-exp along ``axis``; ``overwrite`` reuses ``a``."""
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
+    if overwrite:
+        e = np.exp(np.subtract(a, m, out=a), out=a)
+    else:
+        e = np.exp(a - m)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+        out = np.log(np.sum(e, axis=axis)) + np.squeeze(m, axis=axis)
     return out
 
 
-def half_sq_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half squared Euclidean distances, accumulated per axis.
 
     Avoids BLAS so the summation order (and hence the bit pattern) does not
-    depend on the thread count of the underlying library.
+    depend on the thread count of the underlying library. Writes into
+    ``out`` (an n x m float64 array) when given.
     """
     n, m = X.shape[0], Y.shape[0]
-    C = np.zeros((n, m))
+    if out is None:
+        C = np.zeros((n, m))
+    else:
+        C = out
+        C.fill(0.0)
+    diff = np.empty((n, m))
     for k in range(X.shape[1]):
-        diff = X[:, k, None] - Y[None, :, k]
-        C += diff * diff
+        np.subtract(X[:, k, None], Y[None, :, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        C += diff
     C *= 0.5
     return C
 
 
 class _Updates:
-    """Half-step maps of the dual iteration over a possibly blocked cost."""
+    """Half-step maps of the dual iteration.
+
+    A dense problem holds one n x m operator, the kernel ``exp(-C/eps)`` or,
+    once the log path is taken, the cost ``C`` plus an n x m workspace.
+    ``path`` is the :class:`SolveReport` path so far.
+    """
 
     def __init__(self, P: DiscreteMeasure, Q: DiscreteMeasure, eps: float,
                  dense_entry_limit: int = DENSE_ENTRY_LIMIT):
@@ -136,33 +180,56 @@ class _Updates:
         self.log_b = _log_weights(Q.weights)
         self.eps = eps
         n, m = P.n, Q.n
-        if n * m <= dense_entry_limit:
-            self._C = half_sq_cost(self.X, self.Y)
-            self._block = n
-        else:
-            self._C = None
+        self._work = None
+        if n * m > dense_entry_limit:
+            self._op = None
             self._block = max(1, dense_entry_limit // m)
+            self.path = "blocked"
+            return
+        self._op = half_sq_cost(self.X, self.Y)
+        np.divide(self._op, -eps, out=self._op)
+        np.exp(self._op, out=self._op)
+        self.path = "kernel"
+
+    def _half_step(self, pot: np.ndarray, log_w: np.ndarray, axis: int) -> np.ndarray:
+        """``-eps * log sum_k w_k exp((pot_k - C)/eps)``, summed along ``axis``
+        of the dense operator (``pot`` indexes the other axis)."""
+        eps = self.eps
+        if self.path == "kernel":
+            t = log_w + pot / eps
+            top = np.max(t)
+            s = np.einsum("ij,j->i" if axis == 1 else "ij,i->j", self._op, np.exp(t - top))
+            if np.min(s) >= _KERNEL_FLOOR:
+                return -eps * (np.log(s) + top)
+            half_sq_cost(self.X, self.Y, out=self._op)
+            self.path = "kernel+log"
+        if self._work is None:
+            self._work = np.empty_like(self._op)
+        work = self._work
+        shape = (1, -1) if axis == 1 else (-1, 1)
+        np.subtract(pot.reshape(shape), self._op, out=work)
+        np.divide(work, eps, out=work)
+        np.add(work, log_w.reshape(shape), out=work)
+        return -eps * _logsumexp(work, axis=axis, overwrite=True)
 
     def _row_blocks(self):
         n = self.X.shape[0]
-        if self._C is not None:
-            yield slice(0, n), self._C
-            return
         for start in range(0, n, self._block):
             rows = slice(start, min(start + self._block, n))
             yield rows, half_sq_cost(self.X[rows], self.Y)
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
+        if self._op is not None:
+            return self._half_step(g, self.log_b, axis=1)
         out = np.empty(self.X.shape[0])
         for rows, C in self._row_blocks():
             s = self.log_b[None, :] + (g[None, :] - C) / self.eps
-            out[rows] = -self.eps * _logsumexp(s, axis=1)
+            out[rows] = -self.eps * _logsumexp(s, axis=1, overwrite=True)
         return out
 
     def g_from(self, f: np.ndarray) -> np.ndarray:
-        if self._C is not None:
-            s = self.log_a[:, None] + (f[:, None] - self._C) / self.eps
-            return -self.eps * _logsumexp(s, axis=0)
+        if self._op is not None:
+            return self._half_step(f, self.log_a, axis=0)
         # Streaming log-sum-exp over row blocks: keep a running column max M
         # and the sum T of exponentials shifted by M.
         m = self.Y.shape[0]
@@ -180,22 +247,6 @@ class _Updates:
             M = Mnew
         with np.errstate(divide="ignore"):
             return -self.eps * (np.log(T) + M)
-
-    def log_plan_lse(self, f: np.ndarray, g: np.ndarray) -> float:
-        """log sum_ij a_i b_j exp((f_i + g_j - C_ij)/eps), streamed."""
-        M = -np.inf
-        T = 0.0
-        for rows, C in self._row_blocks():
-            s = (self.log_a[rows, None] + self.log_b[None, :]
-                 + (f[rows, None] + g[None, :] - C) / self.eps)
-            Mb = float(np.max(s))
-            if Mb == -np.inf:
-                continue
-            Mnew = max(M, Mb)
-            T = (T * np.exp(M - Mnew) if np.isfinite(M) else 0.0) \
-                + float(np.sum(np.exp(s - Mnew)))
-            M = Mnew
-        return M + float(np.log(T)) if np.isfinite(M) else -np.inf
 
 
 def _check_pair_dims(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair):
@@ -229,12 +280,14 @@ def normalize(pair: PotentialPair, P: DiscreteMeasure, Q: DiscreteMeasure,
 
 def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
           dense_entry_limit: int = DENSE_ENTRY_LIMIT):
-    """Run alternating log-domain updates until the marginal residual is met.
+    """Run alternating dual updates until the marginal residual is met.
 
     One iteration updates f against the current g, then g against the new f.
     The residual after a sweep is the sup norm of the log column-marginal
     ratio, i.e. ``max_j |g_new_j - g_old_j| / eps``; at or below ``cfg.tol``
     both marginals of the implied plan match the weights to within ``tol``.
+    The report's dual value and two-sided optimality residual are computed
+    on the operator the iteration used.
 
     Returns ``(pair, report)`` with the pair normalized to equal means.
     Raises :class:`NotConverged` (with the report and pair attached) if the
@@ -255,8 +308,9 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
             converged = True
             break
     pair = normalize(PotentialPair(f, g, cfg.eps), P, Q, Normalization.EQUAL_MEANS)
-    dual = dual_objective(P, Q, pair, dense_entry_limit=dense_entry_limit)
-    report = SolveReport(iterations, residual, dual, converged)
+    optimality, f_hat = _two_sided_residual(upd, pair)
+    dual = _dual_value(P, Q, pair, upd.log_a, f_hat)
+    report = SolveReport(iterations, residual, dual, converged, optimality, upd.path)
     if not converged:
         raise NotConverged(
             f"residual {residual:.3e} above tol {cfg.tol:.3e} "
@@ -267,14 +321,19 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
     return pair, report
 
 
+def _two_sided_residual(upd: _Updates, pair: PotentialPair):
+    """``(residual, f_from(g))`` of a pair against the held operator."""
+    f_hat = upd.f_from(pair.g)
+    rf = float(np.max(np.abs(pair.f - f_hat))) / pair.eps
+    rg = float(np.max(np.abs(pair.g - upd.g_from(pair.f)))) / pair.eps
+    return max(rf, rg), f_hat
+
+
 def optimality_residual(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
                         dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> float:
     """Sup norm of both sides' log marginal ratios for the implied plan."""
     _check_pair_dims(P, Q, pair)
-    upd = _Updates(P, Q, pair.eps, dense_entry_limit)
-    rf = float(np.max(np.abs(pair.f - upd.f_from(pair.g)))) / pair.eps
-    rg = float(np.max(np.abs(pair.g - upd.g_from(pair.f)))) / pair.eps
-    return max(rf, rg)
+    return _two_sided_residual(_Updates(P, Q, pair.eps, dense_entry_limit), pair)[0]
 
 
 def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
@@ -285,9 +344,25 @@ def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
     """
     _check_pair_dims(P, Q, pair)
     upd = _Updates(P, Q, pair.eps, dense_entry_limit)
-    lse = upd.log_plan_lse(pair.f, pair.g)
-    mass = float(np.exp(lse))
+    return _dual_value(P, Q, pair, upd.log_a, upd.f_from(pair.g))
+
+
+def _dual_value(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
+                log_a: np.ndarray, f_hat: np.ndarray) -> float:
+    """Dual functional at ``pair`` given ``f_hat``, the f half-step of ``pair.g``.
+
+    ``sum_j b_j exp((g_j - C_ij)/eps) = exp(-f_hat_i/eps)``, so the plan's
+    total mass is ``sum_i a_i exp((f_i - f_hat_i)/eps)``.
+    """
+    mass = float(np.exp(_logsumexp(log_a + (pair.f - f_hat) / pair.eps, axis=0)))
     return float(pair.f @ P.weights + pair.g @ Q.weights) - pair.eps * mass + pair.eps
+
+
+def _require_optimal(residual: float, tol: float) -> None:
+    if not residual <= 10.0 * tol:
+        raise NotOptimal(
+            f"marginal residual {residual:.3e} exceeds 10*tol = {10 * tol:.3e}"
+        )
 
 
 def cost(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
@@ -298,12 +373,19 @@ def cost(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
     ``10 * tol``; use the tolerance the pair was solved at.
     """
     _check_pair_dims(P, Q, pair)
-    residual = optimality_residual(P, Q, pair, dense_entry_limit)
-    if residual > 10.0 * tol:
-        raise NotOptimal(
-            f"marginal residual {residual:.3e} exceeds 10*tol = {10 * tol:.3e}"
-        )
+    _require_optimal(optimality_residual(P, Q, pair, dense_entry_limit), tol)
     return float(pair.f @ P.weights + pair.g @ Q.weights)
+
+
+def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
+    """:func:`solve`, then :func:`cost` without rebuilding the operator.
+
+    The ``10 * tol`` gate of :func:`cost` is applied to the residual the
+    solve measured. Returns ``(pair, report, cost)``.
+    """
+    pair, report = solve(P, Q, cfg)
+    _require_optimal(report.optimality_residual, cfg.tol)
+    return pair, report, float(pair.f @ P.weights + pair.g @ Q.weights)
 
 
 def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> TransportPlan:

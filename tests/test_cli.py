@@ -108,7 +108,8 @@ def test_malformed_file_exits_four(tmp_path, capsys):
 def test_bad_eps_exits_two(dirac_files, capsys):
     p, q = dirac_files
     assert cli.run(["solve", "--p", p, "--q", q, "--eps", "-1"]) == 2
-    capsys.readouterr()
+    assert cli.run(["cost", "--p", p, "--q", q, "--eps", "nan", "--max-iter", "50"]) == 2
+    assert "eps" in capsys.readouterr().err
 
 
 def test_not_converged_exits_three(tmp_path, capsys):

@@ -232,3 +232,11 @@ def test_divergence_dirac_pair():
         assert div.parts[1] == pytest.approx(0.0, abs=1e-12)
         assert div.parts[2] == pytest.approx(0.0, abs=1e-12)
         assert div.value == div.parts[0] - 0.5 * (div.parts[1] + div.parts[2])
+
+
+def test_normal_quantile_against_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for beta in (1e-12, 1e-6, 0.025, 0.3, 0.5, 0.84, 0.975, 1 - 1e-6, 1 - 1e-12):
+        assert inf.normal_quantile(beta) == pytest.approx(stats.norm.ppf(beta), rel=1e-12)
+        z = float(stats.norm.ppf(beta))
+        assert inf.normal_cdf(z) == pytest.approx(stats.norm.cdf(z), rel=1e-12)

@@ -216,8 +216,11 @@ def test_scaling_identity_smoke():
 def test_blocked_cost_path_matches_dense():
     stream = ms.SeedSpec(SUITE_SEED, 30).stream()
     P, Q = random_instance(stream, 2, max_atoms=9)
-    dense_pair, _ = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-11))
-    blocked_pair, _ = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-11), dense_entry_limit=4)
+    dense_pair, dense_report = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-11))
+    blocked_pair, blocked_report = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-11),
+                                            dense_entry_limit=4)
+    assert (dense_report.path, blocked_report.path) == ("kernel", "blocked")
+    assert blocked_report.optimality_residual <= 10 * 1e-11
     assert np.max(np.abs(dense_pair.f - blocked_pair.f)) <= 1e-12
     assert np.max(np.abs(dense_pair.g - blocked_pair.g)) <= 1e-12
     dense_dual = sk.dual_objective(P, Q, dense_pair)
@@ -254,3 +257,92 @@ def test_solver_config_validation():
         SolverConfig(eps=1.0, tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(eps=1.0, max_iter=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(eps=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(eps=1.0, tol=bad)
+        with pytest.raises(ValueError):
+            PotentialPair(np.zeros(1), np.zeros(1), bad)
+
+
+def test_solve_report_defaults_keep_positional_construction():
+    report = sk.SolveReport(3, 1e-10, 0.5, True)
+    assert report.path == "log" and report.optimality_residual == np.inf
+
+
+def _with_zero_weights(P):
+    w = P.weights.copy()
+    w[0] = 0.0
+    return ms.DiscreteMeasure(P.points, w / w.sum())
+
+
+def _log_path_solve(monkeypatch, P, Q, cfg):
+    # An infinite floor sends the first half-step, and so the whole solve,
+    # to the log domain.
+    with monkeypatch.context() as m:
+        m.setattr(sk, "_KERNEL_FLOOR", np.inf)
+        return sk.solve(P, Q, cfg)
+
+
+def test_kernel_and_log_paths_agree(monkeypatch):
+    stream = ms.SeedSpec(SUITE_SEED, 32).stream()
+    for k, (d, eps) in enumerate([(1, 0.5), (2, 1.0), (3, 2.0), (2, 0.2), (1, 5.0), (2, 0.7)]):
+        P, Q = random_instance(stream, d)
+        if k % 2:
+            P, Q = _with_zero_weights(P), _with_zero_weights(Q)
+        cfg = SolverConfig(eps=eps, tol=1e-11)
+        pair_k, rep_k = sk.solve(P, Q, cfg)
+        pair_l, rep_l = _log_path_solve(monkeypatch, P, Q, cfg)
+        assert (rep_k.path, rep_l.path) == ("kernel", "kernel+log")
+        assert rep_k.iterations == rep_l.iterations
+        assert np.max(np.abs(pair_k.f - pair_l.f)) <= 1e-12
+        assert np.max(np.abs(pair_k.g - pair_l.g)) <= 1e-12
+
+
+def _fallback_instances():
+    # eps = 1e-3 on [0, 2]: the kernel sums underflow once g spreads out.
+    stream = ms.SeedSpec(SUITE_SEED, 41).stream()
+    P, Q = random_instance(stream, 1, max_atoms=5)
+    yield (ms.DiscreteMeasure(2.0 * P.points, P.weights),
+           ms.DiscreteMeasure(2.0 * Q.points, Q.weights), 1e-3)
+    # Supports 30 apart at eps = 0.05: the whole kernel is zero.
+    stream = ms.SeedSpec(SUITE_SEED, 50).stream()
+    P, Q = random_instance(stream, 2, max_atoms=4)
+    yield P, ms.DiscreteMeasure(Q.points + 30.0 / np.sqrt(2.0), Q.weights), 0.05
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_kernel_underflow_falls_back_to_log_domain(case, monkeypatch):
+    P, Q, eps = list(_fallback_instances())[case]
+    cfg = SolverConfig(eps=eps, tol=1e-12)
+    pair, report = sk.solve(P, Q, cfg)
+    assert report.path == "kernel+log"
+    bf = orc.brute_force_potentials(P, Q, eps)
+    assert np.max(np.abs(pair.f - bf.f)) <= 1e-10
+    assert np.max(np.abs(pair.g - bf.g)) <= 1e-10
+    pair_l, report_l = _log_path_solve(monkeypatch, P, Q, cfg)
+    assert report_l.iterations == report.iterations
+    assert np.max(np.abs(pair.f - pair_l.f)) <= 1e-12
+    assert np.max(np.abs(pair.g - pair_l.g)) <= 1e-12
+
+
+def test_report_residual_and_dual_match_public_checks():
+    stream = ms.SeedSpec(SUITE_SEED, 33).stream()
+    for d, eps in [(1, 0.5), (2, 1.0), (3, 2.0)]:
+        P, Q = random_instance(stream, d)
+        cfg = SolverConfig(eps=eps, tol=1e-10)
+        pair, report, value = sk._solved_cost(P, Q, cfg)
+        assert value == sk.cost(P, Q, pair, tol=cfg.tol)
+        assert report.optimality_residual == pytest.approx(
+            sk.optimality_residual(P, Q, pair), abs=1e-12)
+        assert report.dual_value == pytest.approx(sk.dual_objective(P, Q, pair), abs=1e-12)
+
+
+def test_solved_cost_applies_the_cost_gate(monkeypatch):
+    P, Q, pair, report = _dirac_pair()
+    stale = sk.SolveReport(report.iterations, report.final_residual, report.dual_value,
+                           True, optimality_residual=1e-6, path=report.path)
+    monkeypatch.setattr(sk, "solve", lambda *args: (pair, stale))
+    with pytest.raises(NotOptimal):
+        sk._solved_cost(P, Q, SolverConfig(eps=1.0, tol=1e-9))
