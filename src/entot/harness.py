@@ -6,14 +6,25 @@ potentials, and the decay of the debiased divergence. Each replicate draws
 its randomness from a stream derived by hashing (master seed, cell index,
 replicate index), so every cell is independently reproducible and results
 are byte-identical across thread counts.
+
+One replicate loop runs every kind. It walks the (d, eps, n) cells, builds
+the kind's per-replicate statistic once per (d, eps), and fans each cell's
+replicates out to a thread pool. A statistic maps (stream, n) to a tuple of
+values; a replicate whose solve did not converge is recorded as None. Two
+reductions turn the loop's output into results: coverage cells (hit rate
+and mean half-width) and rate curves (one curve per tuple position, with a
+log-log slope fit). A new experiment kind is one statistic plus one
+reduction.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,6 +33,8 @@ import numpy as np
 from .errors import ConfigError, NotConverged
 from .inference import ci_two_sample
 from .measures import (
+    _GAMMA,
+    _MASK64,
     CompactDomain,
     DiscreteMeasure,
     SplitMix64,
@@ -40,8 +53,6 @@ from .potentials import (
 )
 from .sinkhorn import Normalization, SolverConfig, _solved_cost, normalize, solve
 
-_GAMMA = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draws
 
 _TRUTH_TOL = 1e-12  # population problems are solved well below replicate tol
@@ -64,11 +75,9 @@ class EmitFormat(enum.Enum):
     PLOT_DATA = "plot"
 
 
-_RATE_KINDS = (
-    ExperimentKind.BIAS_RATE,
-    ExperimentKind.POTENTIAL_RATE,
-    ExperimentKind.DIVERGENCE_RATE,
-)
+def _check_eps_list(eps_list) -> None:
+    if not all(0.0 < e < math.inf for e in eps_list):
+        raise ConfigError("eps values must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -96,8 +105,7 @@ class ExperimentConfig:
             raise ConfigError("dims, eps_list, and n_list must be nonempty")
         if any(d < 1 for d in self.dims):
             raise ConfigError("dimensions must be >= 1")
-        if any(e <= 0 for e in self.eps_list):
-            raise ConfigError("eps values must be positive")
+        _check_eps_list(self.eps_list)
         if any(n < 1 for n in self.n_list):
             raise ConfigError("sample sizes must be >= 1")
         if self.replicates < 1:
@@ -108,7 +116,7 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.atoms < 1:
             raise ConfigError("atoms must be >= 1")
-        if self.kind in _RATE_KINDS:
+        if self.kind is not ExperimentKind.COVERAGE:
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly increasing for rate runs")
 
@@ -180,11 +188,10 @@ def resolve_threads(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _map_replicates(fn, count: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+def _tight_solver(cfg: ExperimentConfig, eps: float) -> SolverConfig:
+    """Solver for population problems, which stand in for exact truths."""
+    return SolverConfig(eps=eps, tol=_TRUTH_TOL,
+                        max_iter=max(cfg.solver.max_iter, 10**6))
 
 
 class _GaussianScenario:
@@ -217,7 +224,6 @@ class _DiscreteScenario:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._pairs: dict[int, tuple[DiscreteMeasure, DiscreteMeasure]] = {}
-        self._truths: dict[tuple[int, float], float] = {}
         if cfg.p_file is not None or cfg.q_file is not None:
             if cfg.p_file is None or cfg.q_file is None:
                 raise ConfigError("p_file and q_file must be given together")
@@ -246,13 +252,8 @@ class _DiscreteScenario:
         return sample_empirical(P, n, stream), sample_empirical(Q, n, stream)
 
     def truth(self, d: int, eps: float) -> float:
-        key = (d, eps)
-        if key not in self._truths:
-            P, Q = self._pairs[d]
-            solver = SolverConfig(eps=eps, tol=_TRUTH_TOL,
-                                  max_iter=max(self.cfg.solver.max_iter, 10**6))
-            self._truths[key] = _solved_cost(P, Q, solver)[2]
-        return self._truths[key]
+        P, Q = self._pairs[d]
+        return _solved_cost(P, Q, _tight_solver(self.cfg, eps))[2]
 
     def populations(self) -> tuple:
         return tuple((d, pq[0], pq[1]) for d, pq in sorted(self._pairs.items()))
@@ -264,56 +265,98 @@ def _scenario_for(cfg: ExperimentConfig):
     return _DiscreteScenario(cfg)
 
 
-def _cells(cfg: ExperimentConfig):
+# ---------------------------------------------------------------------------
+# per-replicate statistics: (scenario, d, solver) -> ((stream, n) -> tuple)
+
+
+def _coverage_statistic(scenario, d: int, solver: SolverConfig):
+    """(hit, half_width) of one n-and-n two-sample interval."""
+    truth = scenario.truth(d, solver.eps)
+    alpha = scenario.cfg.alpha
+
+    def stat(stream, n):
+        P_n, Q_n = scenario.sample_pair(stream, d, n)
+        ci = ci_two_sample(P_n, Q_n, solver, alpha)
+        return (1 if ci.contains(truth) else 0, ci.half_width)
+
+    return stat
+
+
+def _bias_statistic(scenario, d: int, solver: SolverConfig):
+    """(bias,) of one empirical-versus-population problem."""
+    P, Q = scenario.pair(d)
+    truth = scenario.truth(d, solver.eps)
+
+    def stat(stream, n):
+        return (bias_replicate(sample_empirical(P, n, stream), Q, solver, truth),)
+
+    return stat
+
+
+def bias_replicate(P_emp: DiscreteMeasure, Q: DiscreteMeasure,
+                   solver: SolverConfig, truth: float) -> float:
+    """Cost of one empirical problem minus the population cost."""
+    return _solved_cost(P_emp, Q, solver)[2] - truth
+
+
+def _potential_statistic(scenario, d: int, solver: SolverConfig):
+    """(holder_sq, sup_sq): the squared grid norm of (empirical minus
+    population) f potentials, and its squared sup-norm term alone."""
+    P, Q = scenario.pair(d)
+    grid = GridSpec.default(CompactDomain.enclosing(P, Q))
+    order = HolderOrder.for_dimension(d)
+    pop_pair, _ = solve(P, Q, _tight_solver(scenario.cfg, solver.eps))
+    f_star = f_extension(normalize(pop_pair, P, Q, Normalization.ZERO_G_MEAN), Q)
+
+    def stat(stream, n):
+        P_n = sample_empirical(P, n, stream)
+        pair, _ = solve(P_n, Q, solver)
+        pair = normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
+        delta = PotentialDifference(f_extension(pair, Q), f_star)
+        est = holder_norm(delta, order, grid)
+        return est.value**2, est.order_terms[0] ** 2
+
+    return stat
+
+
+def _divergence_statistic(scenario, d: int, solver: SolverConfig):
+    """(one_sample, two_sample) debiased divergences.
+
+    The population self-transport term is solved once per (d, eps); the
+    empirical self term is shared between the two statistics.
+    """
+    P, _ = scenario.pair(d)
+    s_pop_self = _solved_cost(P, P, solver)[2]
+
+    def stat(stream, n):
+        P_n = sample_empirical(P, n, stream)
+        P2_n = sample_empirical(P, n, stream)
+        s_nn = _solved_cost(P_n, P_n, solver)[2]
+        s_np = _solved_cost(P_n, P, solver)[2]
+        s_22 = _solved_cost(P2_n, P2_n, solver)[2]
+        s_12 = _solved_cost(P_n, P2_n, solver)[2]
+        return s_np - 0.5 * (s_nn + s_pop_self), s_12 - 0.5 * (s_nn + s_22)
+
+    return stat
+
+
+# ---------------------------------------------------------------------------
+# reductions over _run's [((d, eps, n), outcomes)] list
+
+
+def _coverage_result(cfg, scenario, cells) -> CoverageResult:
     out = []
-    index = 0
-    for d in cfg.dims:
-        for eps in cfg.eps_list:
-            for n in cfg.n_list:
-                out.append((index, d, eps, n))
-                index += 1
-    return out
-
-
-def run_coverage(cfg: ExperimentConfig, threads: int = 1) -> CoverageResult:
-    """Per cell: draw n-and-n samples, build the two-sample interval, and
-    count how often it contains the population cost. Non-converged
-    replicates are excluded and counted, never silently dropped."""
-    if cfg.kind is not ExperimentKind.COVERAGE:
-        raise ConfigError(f"config kind is {cfg.kind.value}, expected coverage")
-    scenario = _scenario_for(cfg)
-    cells = []
-    for index, d, eps, n in _cells(cfg):
-        truth = scenario.truth(d, eps)
-        solver = replace(cfg.solver, eps=eps)
-
-        def one(r, d=d, n=n, index=index, solver=solver, truth=truth):
-            stream = SplitMix64(derived_seed(cfg.seed, index, r))
-            P_n, Q_n = scenario.sample_pair(stream, d, n)
-            try:
-                ci = ci_two_sample(P_n, Q_n, solver, cfg.alpha)
-            except NotConverged:
-                return None
-            return (1 if ci.contains(truth) else 0, ci.half_width)
-
-        outcomes = _map_replicates(one, cfg.replicates, threads)
+    for (d, eps, n), outcomes in cells:
         kept = [o for o in outcomes if o is not None]
         hits = sum(o[0] for o in kept)
-        evaluated = len(kept)
-        excluded = cfg.replicates - evaluated
-        coverage = hits / evaluated if evaluated else math.nan
-        mean_hw = (
-            float(np.mean([o[1] for o in kept])) if kept else math.nan
-        )
-        cells.append(CoverageCell(
-            d=d, eps=eps, n=n, hits=hits, evaluated=evaluated,
-            excluded=excluded, attempted=cfg.replicates,
-            coverage=coverage, mean_half_width=mean_hw,
+        out.append(CoverageCell(
+            d=d, eps=eps, n=n, hits=hits, evaluated=len(kept),
+            excluded=len(outcomes) - len(kept), attempted=len(outcomes),
+            coverage=hits / len(kept) if kept else math.nan,
+            mean_half_width=float(np.mean([o[1] for o in kept])) if kept else math.nan,
         ))
-    return CoverageResult(
-        kind=cfg.kind, config=cfg, cells=tuple(cells),
-        populations=scenario.populations(),
-    )
+    return CoverageResult(kind=cfg.kind, config=cfg, cells=tuple(out),
+                          populations=scenario.populations())
 
 
 def _fit_loglog(ns, means):
@@ -336,70 +379,92 @@ def _fit_loglog(ns, means):
     return slope, se, float(intercept)
 
 
-def _make_points(ns, samples_per_n):
-    points = []
-    for n, vals in zip(ns, samples_per_n):
-        kept = [v for v in vals if v is not None]
-        arr = np.asarray(kept, dtype=np.float64)
-        mean = float(arr.mean()) if kept else math.nan
-        sd = float(arr.std(ddof=1)) if len(kept) > 1 else 0.0
-        points.append(RatePoint(
-            n=n, mean=mean, sd=sd,
-            evaluated=len(kept), excluded=len(vals) - len(kept),
-        ))
-    return points
+def _rate_result(cfg, scenario, cells, labels) -> RateResult:
+    """One curve per (d, eps, label); tuple position j feeds labels[j]."""
+    by_cell = dict(cells)
+    curves = []
+    for d in cfg.dims:
+        for eps in cfg.eps_list:
+            for j, label in enumerate(labels):
+                points = []
+                for n in cfg.n_list:
+                    outcomes = by_cell[d, eps, n]
+                    kept = np.asarray([o[j] for o in outcomes if o is not None],
+                                      dtype=np.float64)
+                    points.append(RatePoint(
+                        n=n, mean=float(kept.mean()) if kept.size else math.nan,
+                        sd=float(kept.std(ddof=1)) if kept.size > 1 else 0.0,
+                        evaluated=kept.size, excluded=len(outcomes) - kept.size,
+                    ))
+                slope, se, intercept = _fit_loglog(cfg.n_list, [p.mean for p in points])
+                curves.append(RateCurve(label=label, d=d, eps=eps, points=tuple(points),
+                                        slope=slope, slope_se=se, intercept=intercept))
+    return RateResult(kind=cfg.kind, config=cfg, curves=tuple(curves),
+                      populations=scenario.populations())
 
 
-def _make_curve(label, d, eps, points):
-    slope, se, intercept = _fit_loglog(
-        [p.n for p in points], [p.mean for p in points]
-    )
-    return RateCurve(label=label, d=d, eps=eps, points=tuple(points),
-                     slope=slope, slope_se=se, intercept=intercept)
+# kind -> (statistic, rate-curve labels; None reduces to coverage cells)
+_KINDS = {
+    ExperimentKind.COVERAGE: (_coverage_statistic, None),
+    ExperimentKind.BIAS_RATE: (_bias_statistic, ("bias",)),
+    ExperimentKind.POTENTIAL_RATE: (_potential_statistic, ("holder_sq", "sup_sq")),
+    ExperimentKind.DIVERGENCE_RATE: (_divergence_statistic, ("one_sample", "two_sample")),
+}
 
 
-def _require_discrete(cfg: ExperimentConfig, what: str):
+def _check_kind(cfg: ExperimentConfig, kind: ExperimentKind) -> None:
+    if cfg.kind is not kind:
+        raise ConfigError(f"config kind is {cfg.kind.value}, expected {kind.value}")
+    if kind is ExperimentKind.COVERAGE:
+        return
+    what = kind.value.replace("_", "-")
     if cfg.scenario is not ScenarioKind.DISCRETE_PAIR:
         raise ConfigError(f"{what} runs need the discrete scenario (exact truth)")
+    if kind is ExperimentKind.POTENTIAL_RATE and any(d > 2 for d in cfg.dims):
+        raise ConfigError("potential-rate runs support d <= 2")
+    if kind is not ExperimentKind.BIAS_RATE and any(e != 1.0 for e in cfg.eps_list):
+        raise ConfigError(f"{what} runs require eps = 1")
+
+
+def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int):
+    """Every replicate of every cell, reduced to the result of ``kind``."""
+    _check_kind(cfg, kind)
+    scenario = _scenario_for(cfg)
+    statistic, labels = _KINDS[kind]
+    # more workers than replicates or cores only costs threads
+    workers = min(threads, cfg.replicates, 4 * (os.cpu_count() or 1))
+    stats: dict = {}
+    cells = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        fan_out = pool.map if pool is not None else map
+        for index, (d, eps, n) in enumerate(
+                itertools.product(cfg.dims, cfg.eps_list, cfg.n_list)):
+            if (d, eps) not in stats:
+                stats[d, eps] = statistic(scenario, d, replace(cfg.solver, eps=eps))
+
+            def one(r, stat=stats[d, eps], index=index, n=n):
+                try:
+                    return stat(SplitMix64(derived_seed(cfg.seed, index, r)), n)
+                except NotConverged:
+                    return None
+
+            cells.append(((d, eps, n), list(fan_out(one, range(cfg.replicates)))))
+    if labels is None:
+        return _coverage_result(cfg, scenario, cells)
+    return _rate_result(cfg, scenario, cells, labels)
+
+
+def run_coverage(cfg: ExperimentConfig, threads: int = 1) -> CoverageResult:
+    """Per cell: draw n-and-n samples, build the two-sample interval, and
+    count how often it contains the population cost. Non-converged
+    replicates are excluded and counted, never silently dropped."""
+    return _run(cfg, ExperimentKind.COVERAGE, threads)
 
 
 def run_bias_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
     """Mean of (empirical cost - population cost) per sample size, with a
     log-log slope fit of the absolute mean bias."""
-    if cfg.kind is not ExperimentKind.BIAS_RATE:
-        raise ConfigError(f"config kind is {cfg.kind.value}, expected bias_rate")
-    _require_discrete(cfg, "bias-rate")
-    scenario = _scenario_for(cfg)
-    curves = []
-    per_cell = {(d, e, n): ix for ix, d, e, n in _cells(cfg)}
-    for d in cfg.dims:
-        P, Q = scenario.pair(d)
-        for eps in cfg.eps_list:
-            truth = scenario.truth(d, eps)
-            solver = replace(cfg.solver, eps=eps)
-            samples = []
-            for n in cfg.n_list:
-                index = per_cell[(d, eps, n)]
-
-                def one(r, n=n, index=index):
-                    stream = SplitMix64(derived_seed(cfg.seed, index, r))
-                    P_n = sample_empirical(P, n, stream)
-                    try:
-                        return bias_replicate(P_n, Q, solver, truth)
-                    except NotConverged:
-                        return None
-
-                samples.append(_map_replicates(one, cfg.replicates, threads))
-            points = _make_points(cfg.n_list, samples)
-            curves.append(_make_curve("bias", d, eps, points))
-    return RateResult(kind=cfg.kind, config=cfg, curves=tuple(curves),
-                      populations=scenario.populations())
-
-
-def bias_replicate(P_emp: DiscreteMeasure, Q: DiscreteMeasure,
-                   solver: SolverConfig, truth: float) -> float:
-    """Cost of one empirical problem minus the population cost."""
-    return _solved_cost(P_emp, Q, solver)[2] - truth
+    return _run(cfg, ExperimentKind.BIAS_RATE, threads)
 
 
 def run_potential_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
@@ -408,119 +473,16 @@ def run_potential_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
     Fits the slope of the squared derivative-sum norm and, as a
     sub-statistic of the same runs, of the squared sup-norm term alone.
     """
-    if cfg.kind is not ExperimentKind.POTENTIAL_RATE:
-        raise ConfigError(f"config kind is {cfg.kind.value}, expected potential_rate")
-    _require_discrete(cfg, "potential-rate")
-    if any(d > 2 for d in cfg.dims):
-        raise ConfigError("potential-rate runs support d <= 2")
-    if any(e != 1.0 for e in cfg.eps_list):
-        raise ConfigError("potential-rate runs require eps = 1")
-    scenario = _scenario_for(cfg)
-    curves = []
-    per_cell = {(d, e, n): ix for ix, d, e, n in _cells(cfg)}
-    for d in cfg.dims:
-        P, Q = scenario.pair(d)
-        domain = CompactDomain.enclosing(P, Q)
-        grid = GridSpec.default(domain)
-        order = HolderOrder.for_dimension(d)
-        for eps in cfg.eps_list:
-            solver = replace(cfg.solver, eps=eps)
-            pop_solver = SolverConfig(eps=eps, tol=_TRUTH_TOL,
-                                      max_iter=max(cfg.solver.max_iter, 10**6))
-            pop_pair, _ = solve(P, Q, pop_solver)
-            pop_pair = normalize(pop_pair, P, Q, Normalization.ZERO_G_MEAN)
-            f_star = f_extension(pop_pair, Q)
-            holder_samples = []
-            sup_samples = []
-            for n in cfg.n_list:
-                index = per_cell[(d, eps, n)]
-
-                def one(r, n=n, index=index):
-                    stream = SplitMix64(derived_seed(cfg.seed, index, r))
-                    P_n = sample_empirical(P, n, stream)
-                    try:
-                        pair, _ = solve(P_n, Q, solver)
-                    except NotConverged:
-                        return None
-                    pair = normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
-                    delta = PotentialDifference(f_extension(pair, Q), f_star)
-                    est = holder_norm(delta, order, grid)
-                    return est.value**2, est.order_terms[0] ** 2
-
-                both = _map_replicates(one, cfg.replicates, threads)
-                holder_samples.append([b[0] if b is not None else None for b in both])
-                sup_samples.append([b[1] if b is not None else None for b in both])
-            curves.append(_make_curve(
-                "holder_sq", d, eps, _make_points(cfg.n_list, holder_samples)
-            ))
-            curves.append(_make_curve(
-                "sup_sq", d, eps, _make_points(cfg.n_list, sup_samples)
-            ))
-    return RateResult(kind=cfg.kind, config=cfg, curves=tuple(curves),
-                      populations=scenario.populations())
+    return _run(cfg, ExperimentKind.POTENTIAL_RATE, threads)
 
 
 def run_divergence_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
-    """Mean one-sample and two-sample divergences per sample size.
-
-    The population self-transport term is solved once per curve and shared
-    across replicates; the per-replicate empirical self term is shared
-    between the one- and two-sample statistics.
-    """
-    if cfg.kind is not ExperimentKind.DIVERGENCE_RATE:
-        raise ConfigError(f"config kind is {cfg.kind.value}, expected divergence_rate")
-    _require_discrete(cfg, "divergence-rate")
-    if any(e != 1.0 for e in cfg.eps_list):
-        raise ConfigError("divergence-rate runs require eps = 1")
-    scenario = _scenario_for(cfg)
-    curves = []
-    per_cell = {(d, e, n): ix for ix, d, e, n in _cells(cfg)}
-    for d in cfg.dims:
-        P, _ = scenario.pair(d)
-        for eps in cfg.eps_list:
-            solver = replace(cfg.solver, eps=eps)
-            s_pop_self = _solved_cost(P, P, solver)[2]
-            one_samples = []
-            two_samples = []
-            for n in cfg.n_list:
-                index = per_cell[(d, eps, n)]
-
-                def one(r, n=n, index=index):
-                    stream = SplitMix64(derived_seed(cfg.seed, index, r))
-                    P_n = sample_empirical(P, n, stream)
-                    P2_n = sample_empirical(P, n, stream)
-                    try:
-                        s_nn = _solved_cost(P_n, P_n, solver)[2]
-                        s_np = _solved_cost(P_n, P, solver)[2]
-                        s_22 = _solved_cost(P2_n, P2_n, solver)[2]
-                        s_12 = _solved_cost(P_n, P2_n, solver)[2]
-                    except NotConverged:
-                        return None
-                    one_sample = s_np - 0.5 * (s_nn + s_pop_self)
-                    two_sample = s_12 - 0.5 * (s_nn + s_22)
-                    return one_sample, two_sample
-
-                both = _map_replicates(one, cfg.replicates, threads)
-                one_samples.append([b[0] if b is not None else None for b in both])
-                two_samples.append([b[1] if b is not None else None for b in both])
-            curves.append(_make_curve(
-                "one_sample", d, eps, _make_points(cfg.n_list, one_samples)
-            ))
-            curves.append(_make_curve(
-                "two_sample", d, eps, _make_points(cfg.n_list, two_samples)
-            ))
-    return RateResult(kind=cfg.kind, config=cfg, curves=tuple(curves),
-                      populations=scenario.populations())
+    """Mean one-sample and two-sample divergences per sample size."""
+    return _run(cfg, ExperimentKind.DIVERGENCE_RATE, threads)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1):
-    if cfg.kind is ExperimentKind.COVERAGE:
-        return run_coverage(cfg, threads)
-    if cfg.kind is ExperimentKind.BIAS_RATE:
-        return run_bias_rate(cfg, threads)
-    if cfg.kind is ExperimentKind.POTENTIAL_RATE:
-        return run_potential_rate(cfg, threads)
-    return run_divergence_rate(cfg, threads)
+    return _run(cfg, cfg.kind, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -561,21 +523,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    def _int(key, default=None):
+    def _num(key, conv, default=None):
         raw = entries.get(key)
         if raw is None:
             return default
         try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
-
-    def _float(key, default=None):
-        raw = entries.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
+            return conv(raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
 
@@ -595,10 +548,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown scenario {entries['scenario']!r}") from exc
 
     eps_list = _list("eps_list", float)
+    _check_eps_list(eps_list)
     solver = SolverConfig(
         eps=eps_list[0],
-        tol=_float("tol", 1e-9),
-        max_iter=_int("max_iter", 100_000),
+        tol=_num("tol", float, 1e-9),
+        max_iter=_num("max_iter", int, 100_000),
     )
     return ExperimentConfig(
         kind=kind,
@@ -606,11 +560,11 @@ def parse_config(text: str) -> ExperimentConfig:
         dims=_list("dims", int),
         eps_list=eps_list,
         n_list=_list("n_list", int),
-        replicates=_int("replicates"),
-        alpha=_float("alpha"),
-        seed=_int("seed"),
+        replicates=_num("replicates", int),
+        alpha=_num("alpha", float),
+        seed=_num("seed", int),
         solver=solver,
-        atoms=_int("atoms", 10),
+        atoms=_num("atoms", int, 10),
         p_file=entries.get("p_file"),
         q_file=entries.get("q_file"),
     )
@@ -645,6 +599,13 @@ def _header_comments(result) -> list[str]:
     return lines
 
 
+def _eps_table(cfg, heading: str, rows) -> list[str]:
+    """A heading comment, an eps header, and one row per (name, value per eps)."""
+    lines = [heading, "n," + ",".join(f"eps={_fmt(e)}" for e in cfg.eps_list)]
+    lines += [",".join([str(name)] + [_fmt(v) for v in values]) for name, values in rows]
+    return lines
+
+
 def _render_coverage_csv(result: CoverageResult) -> str:
     lines = _header_comments(result)
     cfg = result.config
@@ -652,13 +613,9 @@ def _render_coverage_csv(result: CoverageResult) -> str:
     for d in cfg.dims:
         if not any(c.d == d for c in result.cells):
             continue
-        lines.append(f"# d={d}")
-        lines.append("n," + ",".join(f"eps={_fmt(e)}" for e in cfg.eps_list))
-        for n in cfg.n_list:
-            row = [str(n)]
-            for e in cfg.eps_list:
-                row.append(_fmt(by_key[(d, e, n)].coverage))
-            lines.append(",".join(row))
+        lines += _eps_table(cfg, f"# d={d}", [
+            (n, [by_key[d, e, n].coverage for e in cfg.eps_list]) for n in cfg.n_list
+        ])
     return "\n".join(lines) + "\n"
 
 
@@ -677,26 +634,17 @@ def _render_rate_csv(result: RateResult) -> str:
     lines = _header_comments(result)
     cfg = result.config
     by_key = {(c.label, c.d, c.eps): c for c in result.curves}
-    labels = []
-    for c in result.curves:
-        if c.label not in labels:
-            labels.append(c.label)
+    labels = dict.fromkeys(c.label for c in result.curves)
     for d in cfg.dims:
         for label in labels:
             if not any(c.d == d and c.label == label for c in result.curves):
                 continue
-            lines.append(f"# d={d},label={label}")
-            lines.append("n," + ",".join(f"eps={_fmt(e)}" for e in cfg.eps_list))
-            for i, n in enumerate(cfg.n_list):
-                row = [str(n)]
-                for e in cfg.eps_list:
-                    row.append(_fmt(by_key[(label, d, e)].points[i].mean))
-                lines.append(",".join(row))
-            for fit_field in ("slope", "slope_se", "intercept"):
-                row = [fit_field]
-                for e in cfg.eps_list:
-                    row.append(_fmt(getattr(by_key[(label, d, e)], fit_field)))
-                lines.append(",".join(row))
+            curves = [by_key[label, d, e] for e in cfg.eps_list]
+            rows = [(n, [c.points[i].mean for c in curves])
+                    for i, n in enumerate(cfg.n_list)]
+            rows += [(fit, [getattr(c, fit) for c in curves])
+                     for fit in ("slope", "slope_se", "intercept")]
+            lines += _eps_table(cfg, f"# d={d},label={label}", rows)
     return "\n".join(lines) + "\n"
 
 

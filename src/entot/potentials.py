@@ -87,6 +87,13 @@ def _quadratic_term(points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
     return np.zeros(k)
 
 
+def _row_weights(logits: np.ndarray) -> np.ndarray:
+    """Each row of exp(logits), normalised to sum to one."""
+    W = np.exp(logits - _logsumexp(logits, axis=1)[:, None])
+    W /= W.sum(axis=1, keepdims=True)
+    return W
+
+
 @dataclass(frozen=True, eq=False)
 class ExtendedPotential:
     """One side of a converged pair, as a function on all of R^d.
@@ -113,8 +120,7 @@ class ExtendedPotential:
     def conditional_weights(self, points: np.ndarray) -> np.ndarray:
         """Row-conditional atom weights over the opposite support."""
         logits = self._logits(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        W = np.exp(logits - _logsumexp(logits, axis=1)[:, None])
-        return W / W.sum(axis=1, keepdims=True)
+        return _row_weights(logits)
 
     def extend(self, x) -> float:
         """Extension value at a single point, via stabilized log-sum-exp."""
@@ -148,8 +154,7 @@ class ExtendedPotential:
                 raise ValueError(
                     "derivatives are implemented at eps = 1; rescale first"
                 )
-            W = np.exp(logits - _logsumexp(logits, axis=1)[:, None])
-            W /= W.sum(axis=1, keepdims=True)
+            W = _row_weights(logits)
             Y = self.opposite.points
             moments: dict = {}
             for beta in multi_indices(pts.shape[1], max_order):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from entot import cli
+from entot import inference as inf
 from entot import measures as ms
 from entot import sinkhorn as sk
 from entot.sinkhorn import SolverConfig
@@ -81,6 +82,34 @@ def test_ci_prints_interval(random_files, capsys):
     assert code == 0
     for field in ("center", "half_width", "variance", "level"):
         assert field in out
+
+
+@pytest.mark.parametrize("command", ["ci", "divergence"])
+def test_out_records_round_trip(command, random_files, tmp_path, capsys):
+    p, q = random_files
+    out = tmp_path / f"{command}.csv"
+    assert cli.run([command, "--p", p, "--q", q, "--eps", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    P, Q = ms.load_measure(p), ms.load_measure(q)
+    cfg = SolverConfig(eps=2.0, tol=1e-9)
+    if command == "ci":
+        ci = inf.ci_two_sample(P, Q, cfg, 0.05)
+        expected = {
+            "center": ci.center, "half_width": ci.half_width, "low": ci.low,
+            "high": ci.high, "level": ci.level, "variance": ci.variance.value,
+            "n": ci.variance.n, "m": ci.variance.m,
+        }
+    else:
+        div = inf.sinkhorn_divergence(P, Q, cfg)
+        expected = {"divergence": div.value, "s_pq": div.parts[0],
+                    "s_pp": div.parts[1], "s_qq": div.parts[2], "eps": div.eps}
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "field,index,value"
+    records = [row.split(",") for row in rows[1:]]
+    assert [name for name, _, _ in records] == list(expected)
+    for name, index, value in records:
+        assert index == ""
+        assert type(expected[name])(value) == expected[name]
 
 
 def test_usage_errors_exit_two(capsys):
@@ -214,6 +243,19 @@ def test_kind_mismatch_exits_four(tmp_path, capsys):
     _write_coverage_config(cfg_path)
     assert cli.run(["rate", "--config", str(cfg_path)]) == 4
     capsys.readouterr()
+
+
+def test_non_finite_config_eps_exits_four_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    cfg_path = tmp_path / "cov.txt"
+    for eps_list in ("nan", "2, nan", "inf"):
+        cfg_path.write_text(
+            f"kind = coverage\nscenario = gaussian\ndims = 2\neps_list = {eps_list}\n"
+            "n_list = 25\nreplicates = 6\nalpha = 0.05\nseed = 17\n",
+            encoding="utf-8",
+        )
+        assert cli.run(["coverage", "--config", str(cfg_path)]) == 4
+        assert "eps" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_four(tmp_path, capsys):

@@ -82,8 +82,9 @@ def test_experiment_config_validation():
         ExperimentConfig(**{**base, "replicates": 0})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "alpha": 1.0})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**{**base, "eps_list": (0.0,)})
+    for eps_list in ((0.0,), (1.0, float("nan")), (float("inf"),)):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{**base, "eps_list": eps_list})
     # coverage runs may repeat n values
     ExperimentConfig(**{**base, "kind": ExperimentKind.COVERAGE,
                         "scenario": ScenarioKind.GAUSSIAN_PAIR,
@@ -194,13 +195,52 @@ def test_run_experiment_dispatch():
     assert isinstance(res, hz.CoverageResult)
 
 
-def test_coverage_determinism_across_threads_and_runs():
-    cfg = _tiny_coverage(replicates=12)
-    r1 = hz.run_coverage(cfg, threads=1)
-    r2 = hz.run_coverage(cfg, threads=3)
-    r3 = hz.run_coverage(cfg, threads=1)
+def _tiny_rate(kind):
+    return ExperimentConfig(
+        kind=kind, scenario=ScenarioKind.DISCRETE_PAIR,
+        dims=(1,), eps_list=(1.0,), n_list=(10, 20), replicates=6,
+        alpha=0.05, seed=SUITE_SEED, solver=SolverConfig(eps=1.0),
+    )
+
+
+@pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda k: k.value)
+def test_determinism_across_threads_and_runs(kind):
+    if kind is ExperimentKind.COVERAGE:
+        cfg = _tiny_coverage(replicates=12)
+    else:
+        cfg = _tiny_rate(kind)
+    r1 = hz.run_experiment(cfg, threads=1)
+    r2 = hz.run_experiment(cfg, threads=3)
+    r3 = hz.run_experiment(cfg, threads=1)
     for fmt in EmitFormat:
         assert hz.render(r1, fmt) == hz.render(r2, fmt) == hz.render(r3, fmt)
+
+
+def test_fan_out_workers_are_capped(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(hz, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: 1)
+    serial = hz.run_coverage(_tiny_coverage(replicates=12), threads=1)
+    assert requested == []  # one thread runs in the calling thread
+    capped = hz.run_coverage(_tiny_coverage(replicates=12), threads=10**6)
+    assert requested == [4]  # 4 * cpu_count
+    hz.run_coverage(_tiny_coverage(replicates=3), threads=10**6)
+    assert requested == [4, 3]  # replicates
+    assert hz.render(capped, EmitFormat.PLOT_DATA) == hz.render(serial, EmitFormat.PLOT_DATA)
 
 
 def test_excluded_replicates_are_counted():
