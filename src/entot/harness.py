@@ -33,13 +33,12 @@ import numpy as np
 from .errors import ConfigError, NotConverged
 from .inference import ci_two_sample
 from .measures import (
-    _GAMMA,
     _MASK64,
     CompactDomain,
     DiscreteMeasure,
     SplitMix64,
+    derived_seed,
     load_measure,
-    mix64,
     sample_empirical,
     sample_gaussian,
 )
@@ -168,14 +167,6 @@ class RateResult:
     config: ExperimentConfig
     curves: tuple[RateCurve, ...]
     populations: tuple = ()
-
-
-def derived_seed(master: int, *indices: int) -> int:
-    """Fold indices into a master seed; pure and order-sensitive."""
-    s = master & _MASK64
-    for ix in indices:
-        s = mix64((s + _GAMMA * (ix + 1)) & _MASK64)
-    return s
 
 
 def resolve_threads(requested: int | None = None) -> int:
@@ -549,11 +540,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     eps_list = _list("eps_list", float)
     _check_eps_list(eps_list)
-    solver = SolverConfig(
-        eps=eps_list[0],
-        tol=_num("tol", float, 1e-9),
-        max_iter=_num("max_iter", int, 100_000),
-    )
+    tol, max_iter = _num("tol", float, 1e-9), _num("max_iter", int, 100_000)
+    try:
+        solver = SolverConfig(eps=eps_list[0], tol=tol, max_iter=max_iter)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
         kind=kind,
         scenario=scenario,

@@ -35,6 +35,14 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def derived_seed(master: int, *indices: int) -> int:
+    """Fold indices into a master seed; pure and order-sensitive."""
+    s = master & _MASK64
+    for ix in indices:
+        s = mix64((s + _GAMMA * (ix + 1)) & _MASK64)
+    return s
+
+
 class SplitMix64:
     """Deterministic 64-bit stream: output k is ``mix64(seed + (k+1)*GAMMA)``.
 
@@ -84,8 +92,7 @@ class SeedSpec:
 
     def stream(self) -> SplitMix64:
         """Stream seeded by hashing (master_seed, replicate_index)."""
-        base = (self.master_seed + _GAMMA * (self.replicate_index + 1)) & _MASK64
-        return SplitMix64(mix64(base))
+        return SplitMix64(derived_seed(self.master_seed, self.replicate_index))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,20 +183,18 @@ class CompactDomain:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, points: np.ndarray, slack: float = 0.0) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return bool(
-            np.all(pts >= self.lower - slack) and np.all(pts <= self.upper + slack)
-        )
+        return bool(np.all(pts >= self.lower) and np.all(pts <= self.upper))
 
     @staticmethod
     def unit_box(dim: int) -> "CompactDomain":
         return CompactDomain(np.zeros(dim), np.ones(dim))
 
     @staticmethod
-    def enclosing(*measures: DiscreteMeasure, pad: float = 0.0) -> "CompactDomain":
+    def enclosing(*measures: DiscreteMeasure) -> "CompactDomain":
         pts = np.vstack([m.points for m in measures])
-        return CompactDomain(pts.min(axis=0) - pad, pts.max(axis=0) + pad)
+        return CompactDomain(pts.min(axis=0), pts.max(axis=0))
 
 
 def load_measure(path) -> DiscreteMeasure:
@@ -283,8 +288,8 @@ def sample_gaussian(mean, variance_scale: float, n: int, seed) -> DiscreteMeasur
 
     Box-Muller on the seeded stream; both outputs of each pair are consumed.
     """
-    if variance_scale <= 0:
-        raise ValueError("variance_scale must be positive")
+    if not (math.isfinite(variance_scale) and variance_scale > 0):
+        raise ValueError("variance_scale must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     mu = np.atleast_1d(np.asarray(mean, dtype=np.float64))
@@ -307,6 +312,6 @@ def sample_gaussian(mean, variance_scale: float, n: int, seed) -> DiscreteMeasur
 
 def rescale_measure(measure: DiscreteMeasure, eps: float) -> DiscreteMeasure:
     """Push the support through x -> x / sqrt(eps); weights unchanged."""
-    if eps <= 0:
-        raise NonPositiveEps(f"eps must be positive, got {eps!r}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise NonPositiveEps(f"eps must be positive and finite, got {eps!r}")
     return DiscreteMeasure(measure.points * eps**-0.5, measure.weights)

@@ -33,8 +33,8 @@ class GaussianPairSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
 
 
 def gaussian_cost(spec: GaussianPairSpec) -> float:

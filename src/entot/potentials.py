@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder, WrongNormalization
 from .measures import CompactDomain, DiscreteMeasure, SplitMix64
-from .sinkhorn import Normalization, PotentialPair, _log_weights, _logsumexp, half_sq_cost
+from .sinkhorn import Normalization, PotentialPair, _log_weights, _soft_min, half_sq_cost
 
 MAX_DERIVATIVE_ORDER = 6
 
@@ -87,11 +87,23 @@ def _quadratic_term(points: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
     return np.zeros(k)
 
 
-def _row_weights(logits: np.ndarray) -> np.ndarray:
-    """Each row of exp(logits), normalised to sum to one."""
-    W = np.exp(logits - _logsumexp(logits, axis=1)[:, None])
-    W /= W.sum(axis=1, keepdims=True)
-    return W
+def _check_order(order: int, eps: float) -> None:
+    """Derivatives and moments: order at most ``MAX_DERIVATIVE_ORDER``, eps = 1."""
+    if order > MAX_DERIVATIVE_ORDER:
+        raise UnsupportedOrder(f"orders supported up to {MAX_DERIVATIVE_ORDER}, got {order}")
+    if eps != 1.0:
+        raise ValueError("derivatives are implemented at eps = 1; rescale first")
+
+
+def _moments(W: np.ndarray, Y: np.ndarray, max_order: int) -> dict:
+    """Raw moments E[y^beta], |beta| <= max_order, under each row of ``W``."""
+    moments: dict = {}
+    for beta in multi_indices(Y.shape[1], max_order):
+        if sum(beta) == 0:
+            moments[beta] = np.ones(W.shape[0])
+        else:
+            moments[beta] = W @ np.prod(Y ** np.array(beta), axis=1)
+    return moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,24 +121,26 @@ class ExtendedPotential:
     pair: PotentialPair
     opposite: DiscreteMeasure
 
-    def _logits(self, points: np.ndarray) -> np.ndarray:
+    def _table(self, points: np.ndarray):
+        """Extension values and row-conditional weights over the opposite
+        support, at each row of ``points``."""
         values = self.pair.g if self.side is Side.F else self.pair.f
         if values.shape[0] != self.opposite.n:
             raise ValueError("pair does not match the opposite measure's support")
-        sq = half_sq_cost(points, self.opposite.points)
-        return _log_weights(self.opposite.weights)[None, :] + \
-            (values[None, :] - sq) / self.pair.eps
+        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        W = half_sq_cost(pts, self.opposite.points)
+        ext = _soft_min(values, _log_weights(self.opposite.weights), W,
+                        self.pair.eps, 1, W)
+        W /= W.sum(axis=1, keepdims=True)
+        return ext, W
 
     def conditional_weights(self, points: np.ndarray) -> np.ndarray:
         """Row-conditional atom weights over the opposite support."""
-        logits = self._logits(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        return _row_weights(logits)
+        return self._table(points)[1]
 
     def extend(self, x) -> float:
         """Extension value at a single point, via stabilized log-sum-exp."""
-        pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        lse = _logsumexp(self._logits(pts), axis=1)
-        return float(-self.pair.eps * lse[0])
+        return float(self._table(x)[0][0])
 
     def evaluate(self, points: np.ndarray, alphas) -> dict:
         """Extension values and derivatives on a batch of points.
@@ -137,32 +151,16 @@ class ExtendedPotential:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         alphas = [tuple(int(v) for v in a) for a in alphas]
-        logits = self._logits(pts)
+        ext, W = self._table(pts)
         out: dict = {}
         zero = (0,) * pts.shape[1]
         deriv_alphas = [a for a in alphas if sum(a) >= 1]
         if zero in alphas:
-            out[zero] = -self.pair.eps * _logsumexp(logits, axis=1)
+            out[zero] = ext
         if deriv_alphas:
             max_order = max(sum(a) for a in deriv_alphas)
-            if max_order > MAX_DERIVATIVE_ORDER:
-                raise UnsupportedOrder(
-                    f"derivatives supported up to order {MAX_DERIVATIVE_ORDER}, "
-                    f"got {max_order}"
-                )
-            if self.pair.eps != 1.0:
-                raise ValueError(
-                    "derivatives are implemented at eps = 1; rescale first"
-                )
-            W = _row_weights(logits)
-            Y = self.opposite.points
-            moments: dict = {}
-            for beta in multi_indices(pts.shape[1], max_order):
-                if sum(beta) == 0:
-                    moments[beta] = np.ones(pts.shape[0])
-                else:
-                    moments[beta] = W @ np.prod(Y ** np.array(beta), axis=1)
-            kappa = cumulants_from_moments(moments)
+            _check_order(max_order, self.pair.eps)
+            kappa = cumulants_from_moments(_moments(W, self.opposite.points, max_order))
             for alpha in deriv_alphas:
                 out[alpha] = _quadratic_term(pts, alpha) - kappa[alpha]
         return out
@@ -184,22 +182,9 @@ def conditional_moments(pot: ExtendedPotential, x, max_order: int) -> dict:
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if max_order > MAX_DERIVATIVE_ORDER:
-        raise UnsupportedOrder(
-            f"moments supported up to order {MAX_DERIVATIVE_ORDER}, got {max_order}"
-        )
-    if pot.pair.eps != 1.0:
-        raise ValueError("conditional moments are implemented at eps = 1")
-    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    W = pot.conditional_weights(pts)
-    Y = pot.opposite.points
-    table = {}
-    for beta in multi_indices(pts.shape[1], max_order):
-        if sum(beta) == 0:
-            table[beta] = 1.0
-        else:
-            table[beta] = float(W[0] @ np.prod(Y ** np.array(beta), axis=1))
-    return table
+    _check_order(max_order, pot.pair.eps)
+    moments = _moments(pot.conditional_weights(x), pot.opposite.points, max_order)
+    return {beta: float(m[0]) for beta, m in moments.items()}
 
 
 def derivative(pot: ExtendedPotential, x, alpha) -> float:

@@ -7,8 +7,9 @@ matrix-vector product of max-shifted scalings. When a kernel row or column
 sum falls below ``_KERNEL_FLOOR`` (``K`` has underflowed where it matters),
 that half-step is redone on log-scale quantities with max-shifted
 log-sum-exp, and the solve stays in the log domain from then on, with the
-cost rebuilt into the same array. Above the budget the cost is recomputed in
-row blocks and every half-step runs in the log domain.
+cost rebuilt into the same array. Above the budget every half-step builds
+cost slabs within it (rows for f, columns for g) and runs in the log domain.
+Every log-domain half-step, and the potential extension, is ``_soft_min``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 from .errors import DimensionMismatch, NegativeEntry, NotConverged, NotOptimal
 from .measures import DiscreteMeasure
 
-# Above this many cost-matrix entries the solver streams row blocks instead
-# of holding the dense matrix (16M entries ~ 128 MB of float64).
+# Above this many cost-matrix entries each half-step builds cost slabs of at
+# most this size instead (16M entries ~ 128 MB of float64).
 DENSE_ENTRY_LIMIT = 16_000_000
 
 # A kernel sum at or above this floor is exact to double precision: terms
@@ -109,7 +110,7 @@ class SolveReport:
     as :func:`optimality_residual` defines it. ``path`` names the half-step
     arithmetic: ``"kernel"``, ``"kernel+log"`` (a kernel sum underflowed and
     the rest of the solve ran in the log domain) or ``"blocked"`` (cost
-    streamed in row blocks, log domain). A report built without a path says
+    rebuilt in slabs, log domain). A report built without a path says
     ``"log"``: every half-step in the log domain, as solves once ran.
     """
 
@@ -126,17 +127,28 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
         return np.where(w > 0, np.log(np.maximum(w, np.finfo(np.float64).tiny)), -np.inf)
 
 
-def _logsumexp(a: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
-    """Max-shifted log-sum-exp along ``axis``; ``overwrite`` reuses ``a``."""
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log-sum-exp along ``axis``; overwrites ``a`` with exponentials."""
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    if overwrite:
-        e = np.exp(np.subtract(a, m, out=a), out=a)
-    else:
-        e = np.exp(a - m)
+    e = np.exp(np.subtract(a, m, out=a), out=a)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(e, axis=axis)) + np.squeeze(m, axis=axis)
     return out
+
+
+def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float,
+              axis: int, out: np.ndarray) -> np.ndarray:
+    """Soft c-transform ``-eps * log sum_k w_k exp((pot_k - C)/eps)`` along ``axis``.
+
+    ``pot`` and ``log_w`` index ``axis`` of ``C``. Works in place in ``out``
+    (which may be ``C``) and leaves there the max-shifted exponentials.
+    """
+    shape = (1, -1) if axis == 1 else (-1, 1)
+    np.subtract(pot.reshape(shape), C, out=out)
+    np.divide(out, eps, out=out)
+    np.add(out, log_w.reshape(shape), out=out)
+    return -eps * _logsumexp(out, axis=axis)
 
 
 def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -165,8 +177,9 @@ class _Updates:
     """Half-step maps of the dual iteration.
 
     A dense problem holds one n x m operator, the kernel ``exp(-C/eps)`` or,
-    once the log path is taken, the cost ``C`` plus an n x m workspace.
-    ``path`` is the :class:`SolveReport` path so far.
+    once the log path is taken, the cost ``C`` plus an n x m workspace. A
+    blocked problem rebuilds cost slabs on every half-step. ``path`` is the
+    :class:`SolveReport` path so far.
     """
 
     def __init__(self, P: DiscreteMeasure, Q: DiscreteMeasure, eps: float,
@@ -179,11 +192,9 @@ class _Updates:
         self.log_a = _log_weights(P.weights)
         self.log_b = _log_weights(Q.weights)
         self.eps = eps
-        n, m = P.n, Q.n
-        self._work = None
-        if n * m > dense_entry_limit:
-            self._op = None
-            self._block = max(1, dense_entry_limit // m)
+        self._limit = dense_entry_limit
+        self._op = self._work = None
+        if P.n * Q.n > dense_entry_limit:
             self.path = "blocked"
             return
         self._op = half_sq_cost(self.X, self.Y)
@@ -192,9 +203,19 @@ class _Updates:
         self.path = "kernel"
 
     def _half_step(self, pot: np.ndarray, log_w: np.ndarray, axis: int) -> np.ndarray:
-        """``-eps * log sum_k w_k exp((pot_k - C)/eps)``, summed along ``axis``
-        of the dense operator (``pot`` indexes the other axis)."""
+        """:func:`_soft_min` of ``pot`` along ``axis`` of the cost."""
         eps = self.eps
+        if self.path == "blocked":
+            # Row slabs for f, column slabs for g; each slab is its own workspace.
+            X, Y = self.X, self.Y
+            kept, summed = (X, Y) if axis == 1 else (Y, X)
+            step = max(1, self._limit // summed.shape[0])
+            out = np.empty(kept.shape[0])
+            for start in range(0, kept.shape[0], step):
+                k = slice(start, start + step)
+                C = half_sq_cost(X[k], Y) if axis == 1 else half_sq_cost(X, Y[k])
+                out[k] = _soft_min(pot, log_w, C, eps, axis, C)
+            return out
         if self.path == "kernel":
             t = log_w + pot / eps
             top = np.max(t)
@@ -205,48 +226,13 @@ class _Updates:
             self.path = "kernel+log"
         if self._work is None:
             self._work = np.empty_like(self._op)
-        work = self._work
-        shape = (1, -1) if axis == 1 else (-1, 1)
-        np.subtract(pot.reshape(shape), self._op, out=work)
-        np.divide(work, eps, out=work)
-        np.add(work, log_w.reshape(shape), out=work)
-        return -eps * _logsumexp(work, axis=axis, overwrite=True)
-
-    def _row_blocks(self):
-        n = self.X.shape[0]
-        for start in range(0, n, self._block):
-            rows = slice(start, min(start + self._block, n))
-            yield rows, half_sq_cost(self.X[rows], self.Y)
+        return _soft_min(pot, log_w, self._op, eps, axis, self._work)
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
-        if self._op is not None:
-            return self._half_step(g, self.log_b, axis=1)
-        out = np.empty(self.X.shape[0])
-        for rows, C in self._row_blocks():
-            s = self.log_b[None, :] + (g[None, :] - C) / self.eps
-            out[rows] = -self.eps * _logsumexp(s, axis=1, overwrite=True)
-        return out
+        return self._half_step(g, self.log_b, axis=1)
 
     def g_from(self, f: np.ndarray) -> np.ndarray:
-        if self._op is not None:
-            return self._half_step(f, self.log_a, axis=0)
-        # Streaming log-sum-exp over row blocks: keep a running column max M
-        # and the sum T of exponentials shifted by M.
-        m = self.Y.shape[0]
-        M = np.full(m, -np.inf)
-        T = np.zeros(m)
-        for rows, C in self._row_blocks():
-            s = self.log_a[rows, None] + (f[rows, None] - C) / self.eps
-            Mb = np.max(s, axis=0)
-            Mnew = np.maximum(M, Mb)
-            base = np.where(np.isfinite(Mnew), Mnew, 0.0)
-            scale = np.zeros(m)
-            finite = np.isfinite(M)
-            scale[finite] = np.exp(M[finite] - base[finite])
-            T = T * scale + np.sum(np.exp(s - base[None, :]), axis=0)
-            M = Mnew
-        with np.errstate(divide="ignore"):
-            return -self.eps * (np.log(T) + M)
+        return self._half_step(f, self.log_a, axis=0)
 
 
 def _check_pair_dims(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair):

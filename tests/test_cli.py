@@ -256,6 +256,14 @@ def test_non_finite_config_eps_exits_four_before_any_solve(tmp_path, capsys, mon
         )
         assert cli.run(["coverage", "--config", str(cfg_path)]) == 4
         assert "eps" in capsys.readouterr().err
+    for line, name in (("tol = nan", "tol"), ("tol = -1", "tol"), ("max_iter = 0", "max_iter")):
+        cfg_path.write_text(
+            "kind = coverage\nscenario = gaussian\ndims = 2\neps_list = 2\n"
+            f"n_list = 25\nreplicates = 6\nalpha = 0.05\nseed = 17\n{line}\n",
+            encoding="utf-8",
+        )
+        assert cli.run(["coverage", "--config", str(cfg_path)]) == 4
+        assert name in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_four(tmp_path, capsys):

@@ -65,6 +65,9 @@ def test_parse_config_defaults_and_errors():
         hz.parse_config(minimal.replace("bias_rate", "mystery"))
     with pytest.raises(ConfigError, match="unknown scenario"):
         hz.parse_config(minimal.replace("discrete", "cauchy"))
+    for line in ("tol=nan", "tol=-1", "max_iter=0"):
+        with pytest.raises(ConfigError):
+            hz.parse_config(minimal + line + "\n")
 
 
 def test_experiment_config_validation():
@@ -96,6 +99,9 @@ def test_derived_seed_deterministic():
     assert a == hz.derived_seed(5, 1, 2)
     assert a != hz.derived_seed(5, 2, 1)
     assert 0 <= a < 2**64
+    for master, index in [(0, 0), (5, 3), (2**64 - 1, 7), (SUITE_SEED, 2**40)]:
+        assert np.array_equal(ms.SeedSpec(master, index).stream().u64_block(4),
+                              ms.SplitMix64(hz.derived_seed(master, index)).u64_block(4))
 
 
 def test_gaussian_truth_matches_closed_form():

@@ -148,6 +148,9 @@ def test_sample_gaussian_validation():
         ms.sample_gaussian([0.0], 0.0, 5, ms.SeedSpec(1, 0))
     with pytest.raises(ValueError):
         ms.sample_gaussian([0.0], 1.0, 0, ms.SeedSpec(1, 0))
+    for scale in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="variance_scale"):
+            ms.sample_gaussian([0.0], scale, 5, ms.SeedSpec(1, 0))
 
 
 def test_sampling_pure_across_thread_schedules():
@@ -181,8 +184,9 @@ def test_rescale_roundtrip():
 
 
 def test_rescale_rejects_nonpositive_eps():
-    with pytest.raises(NonPositiveEps):
-        ms.rescale_measure(ms.dirac([0.0]), 0.0)
+    for eps in (0.0, float("inf"), float("nan")):
+        with pytest.raises(NonPositiveEps):
+            ms.rescale_measure(ms.dirac([0.0]), eps)
 
 
 def test_compact_domain():

@@ -48,8 +48,9 @@ def test_gaussian_cost_monotone_in_eps():
 def test_gaussian_spec_validation():
     with pytest.raises(ValueError):
         GaussianPairSpec(0, 1.0)
-    with pytest.raises(ValueError):
-        GaussianPairSpec(2, 0.0)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GaussianPairSpec(2, eps)
 
 
 def test_brute_force_dirac_pair_exact():
