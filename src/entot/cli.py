@@ -30,12 +30,8 @@ from .harness import (
     run_experiment,
 )
 from .inference import ci_two_sample, sinkhorn_divergence
-from .measures import load_measure
+from .measures import fmt17, load_measure
 from .sinkhorn import SolverConfig, _solved_cost
-
-
-def _fmt17(x) -> str:
-    return "%.17g" % float(x)
 
 
 def _fmt6(x) -> str:
@@ -63,7 +59,7 @@ def _report(fields, out) -> None:
 
     _print_table([(name, fmt(value, _fmt6)) for name, value in fields])
     if out:
-        _write_records(out, [(name, "", fmt(value, _fmt17)) for name, value in fields])
+        _write_records(out, [(name, "", fmt(value, fmt17)) for name, value in fields])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,25 +69,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p):
+    def add_solver_command(name, handler, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--p", required=True, help="first measure file")
         p.add_argument("--q", required=True, help="second measure file")
         p.add_argument("--eps", type=float, required=True, help="regularization")
-        p.add_argument("--tol", type=float, default=1e-9, help="marginal residual target")
-        p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
+        p.add_argument("--tol", type=float, default=SolverConfig.tol,
+                       help="marginal residual target")
+        p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter")
         p.add_argument("--out", default=None, help="write machine-readable CSV here")
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve the dual and print diagnostics")
-    add_solver_flags(p_solve)
-
-    p_cost = sub.add_parser("cost", help="print the transport cost only")
-    add_solver_flags(p_cost)
-
-    p_div = sub.add_parser("divergence", help="debiased divergence (three solves)")
-    add_solver_flags(p_div)
-
-    p_ci = sub.add_parser("ci", help="two-sample confidence interval")
-    add_solver_flags(p_ci)
+    add_solver_command("solve", _cmd_solve, "solve the dual and print diagnostics")
+    add_solver_command("cost", _cmd_cost, "print the transport cost only")
+    add_solver_command("divergence", _cmd_divergence, "debiased divergence (three solves)")
+    p_ci = add_solver_command("ci", _cmd_ci, "two-sample confidence interval")
     p_ci.add_argument("--alpha", type=float, default=0.05, help="1 - level")
 
     for name, help_text in (
@@ -99,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("rate", "Monte Carlo convergence-rate experiment"),
     ):
         p_exp = sub.add_parser(name, help=help_text)
+        p_exp.set_defaults(handler=_cmd_experiment)
         p_exp.add_argument("--config", required=True, help="experiment config file")
         p_exp.add_argument("--out", default=None, help="emit results to this file")
         p_exp.add_argument("--format", choices=["csv", "plot"], default="csv")
@@ -128,15 +122,15 @@ def _cmd_solve(args) -> int:
     ])
     if args.out:
         records = [
-            ("cost", "", _fmt17(value)),
-            ("dual_value", "", _fmt17(report.dual_value)),
-            ("final_residual", "", _fmt17(report.final_residual)),
+            ("cost", "", fmt17(value)),
+            ("dual_value", "", fmt17(report.dual_value)),
+            ("final_residual", "", fmt17(report.final_residual)),
             ("iterations", "", str(report.iterations)),
             ("converged", "", "1" if report.converged else "0"),
-            ("eps", "", _fmt17(cfg.eps)),
+            ("eps", "", fmt17(cfg.eps)),
         ]
-        records += [("f", str(i), _fmt17(v)) for i, v in enumerate(pair.f)]
-        records += [("g", str(j), _fmt17(v)) for j, v in enumerate(pair.g)]
+        records += [("f", str(i), fmt17(v)) for i, v in enumerate(pair.f)]
+        records += [("g", str(j), fmt17(v)) for j, v in enumerate(pair.g)]
         _write_records(args.out, records)
     return 0
 
@@ -144,9 +138,9 @@ def _cmd_solve(args) -> int:
 def _cmd_cost(args) -> int:
     P, Q, cfg = _load_inputs(args)
     value = _solved_cost(P, Q, cfg)[2]
-    print(_fmt17(value))
+    print(fmt17(value))
     if args.out:
-        _write_records(args.out, [("cost", "", _fmt17(value))])
+        _write_records(args.out, [("cost", "", fmt17(value))])
     return 0
 
 
@@ -170,10 +164,11 @@ def _cmd_ci(args) -> int:
     return 0
 
 
-def _cmd_experiment(args, expect_coverage: bool) -> int:
+def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    expect_coverage = args.command == "coverage"
     is_coverage = cfg.kind is ExperimentKind.COVERAGE
     if expect_coverage != is_coverage:
         wanted = "coverage" if expect_coverage else "a rate kind"
@@ -205,17 +200,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "cost":
-            return _cmd_cost(args)
-        if args.command == "divergence":
-            return _cmd_divergence(args)
-        if args.command == "ci":
-            return _cmd_ci(args)
-        if args.command == "coverage":
-            return _cmd_experiment(args, expect_coverage=True)
-        return _cmd_experiment(args, expect_coverage=False)
+        return args.handler(args)
     except NotConverged as exc:
         print(f"entot: not converged: {exc}", file=sys.stderr)
         return 3

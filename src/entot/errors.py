@@ -17,8 +17,8 @@ class EmptySupport(EntotError):
     """Measure file contains no atoms."""
 
 
-class NonPositiveEps(EntotError):
-    """A regularization parameter must be strictly positive."""
+class NonPositiveEps(EntotError, ValueError):
+    """A regularization parameter must be strictly positive and finite."""
 
 
 class DimensionMismatch(EntotError):

@@ -38,6 +38,7 @@ from .measures import (
     DiscreteMeasure,
     SplitMix64,
     derived_seed,
+    fmt17,
     load_measure,
     sample_empirical,
     sample_gaussian,
@@ -74,11 +75,6 @@ class EmitFormat(enum.Enum):
     PLOT_DATA = "plot"
 
 
-def _check_eps_list(eps_list) -> None:
-    if not all(0.0 < e < math.inf for e in eps_list):
-        raise ConfigError("eps values must be positive and finite")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative sweep description; see :func:`parse_config` for the file form."""
@@ -104,7 +100,8 @@ class ExperimentConfig:
             raise ConfigError("dims, eps_list, and n_list must be nonempty")
         if any(d < 1 for d in self.dims):
             raise ConfigError("dimensions must be >= 1")
-        _check_eps_list(self.eps_list)
+        if not all(0.0 < e < math.inf for e in self.eps_list):
+            raise ConfigError("eps values must be positive and finite")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("sample sizes must be >= 1")
         if self.replicates < 1:
@@ -539,8 +536,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown scenario {entries['scenario']!r}") from exc
 
     eps_list = _list("eps_list", float)
-    _check_eps_list(eps_list)
-    tol, max_iter = _num("tol", float, 1e-9), _num("max_iter", int, 100_000)
+    tol = _num("tol", float, SolverConfig.tol)
+    max_iter = _num("max_iter", int, SolverConfig.max_iter)
     try:
         solver = SolverConfig(eps=eps_list[0], tol=tol, max_iter=max_iter)
     except ValueError as exc:
@@ -569,21 +566,17 @@ def load_config(path) -> ExperimentConfig:
 # emission
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def _header_comments(result) -> list[str]:
     cfg = result.config
     lines = [
         f"# kind={cfg.kind.value},scenario={cfg.scenario.value},"
-        f"seed={cfg.seed},alpha={_fmt(cfg.alpha)},replicates={cfg.replicates},"
-        f"tol={_fmt(cfg.solver.tol)},max_iter={cfg.solver.max_iter}"
+        f"seed={cfg.seed},alpha={fmt17(cfg.alpha)},replicates={cfg.replicates},"
+        f"tol={fmt17(cfg.solver.tol)},max_iter={cfg.solver.max_iter}"
     ]
     for d, P, Q in result.populations:
         for name, m in (("p", P), ("q", Q)):
             atoms = ";".join(
-                ",".join(_fmt(v) for v in (w, *pt))
+                ",".join(fmt17(v) for v in (w, *pt))
                 for w, pt in zip(m.weights, m.points)
             )
             lines.append(f"# population_{name}_d{d}={atoms}")
@@ -592,8 +585,8 @@ def _header_comments(result) -> list[str]:
 
 def _eps_table(cfg, heading: str, rows) -> list[str]:
     """A heading comment, an eps header, and one row per (name, value per eps)."""
-    lines = [heading, "n," + ",".join(f"eps={_fmt(e)}" for e in cfg.eps_list)]
-    lines += [",".join([str(name)] + [_fmt(v) for v in values]) for name, values in rows]
+    lines = [heading, "n," + ",".join(f"eps={fmt17(e)}" for e in cfg.eps_list)]
+    lines += [",".join([str(name)] + [fmt17(v) for v in values]) for name, values in rows]
     return lines
 
 
@@ -614,8 +607,8 @@ def _render_coverage_plot(result: CoverageResult) -> str:
     lines = ["curve,d,eps,n,coverage,mean_half_width,hits,evaluated,excluded,attempted"]
     for c in result.cells:
         lines.append(",".join([
-            "coverage", str(c.d), _fmt(c.eps), str(c.n), _fmt(c.coverage),
-            _fmt(c.mean_half_width), str(c.hits), str(c.evaluated),
+            "coverage", str(c.d), fmt17(c.eps), str(c.n), fmt17(c.coverage),
+            fmt17(c.mean_half_width), str(c.hits), str(c.evaluated),
             str(c.excluded), str(c.attempted),
         ]))
     return "\n".join(lines) + "\n"
@@ -646,10 +639,10 @@ def _render_rate_plot(result: RateResult) -> str:
             x = math.log(p.n)
             y = math.log(max(abs(p.mean), 1e-300))
             lines.append(",".join([
-                c.label, str(c.d), _fmt(c.eps), "point", _fmt(x), _fmt(y),
+                c.label, str(c.d), fmt17(c.eps), "point", fmt17(x), fmt17(y),
             ]))
         lines.append(",".join([
-            c.label, str(c.d), _fmt(c.eps), "fit", _fmt(c.slope), _fmt(c.intercept),
+            c.label, str(c.d), fmt17(c.eps), "fit", fmt17(c.slope), fmt17(c.intercept),
         ]))
     return "\n".join(lines) + "\n"
 

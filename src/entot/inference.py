@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, OutOfRange
 from .measures import DiscreteMeasure
-from .sinkhorn import PotentialPair, SolverConfig, _solved_cost
+from .sinkhorn import PotentialPair, SolverConfig, _check_pair_dims, _solved_cost
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -82,11 +82,7 @@ def variance_one_sample(P_n: DiscreteMeasure, pair: PotentialPair) -> VarianceEs
 def variance_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure,
                         pair: PotentialPair) -> VarianceEstimate:
     """Convex combination m/(n+m) * Var(f) + n/(n+m) * Var(g)."""
-    if pair.f.shape[0] != P_n.n or pair.g.shape[0] != Q_m.n:
-        raise DimensionMismatch(
-            f"pair sized ({pair.f.shape[0]}, {pair.g.shape[0]}) does not match "
-            f"samples sized ({P_n.n}, {Q_m.n})"
-        )
+    _check_pair_dims(P_n, Q_m, pair)
     n, m = P_n.n, Q_m.n
     var_f = _weighted_variance(pair.f, P_n.weights)
     var_g = _weighted_variance(pair.g, Q_m.weights)
@@ -117,14 +113,19 @@ def two_sample_half_width(variance_value: float, n: int, m: int, z: float) -> fl
     return z * math.sqrt(variance_value * (n + m) / (n * m))
 
 
+def _two_sided_z(alpha: float) -> float:
+    """Normal quantile for a level ``1 - alpha`` two-sided interval."""
+    if not 0.0 < alpha < 1.0:
+        raise OutOfRange(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
 def ci_one_sample(P_n: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
                   alpha: float) -> ConfidenceInterval:
     """Interval for the population cost from one empirical measure."""
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    z = _two_sided_z(alpha)
     pair, _, center = _solved_cost(P_n, Q, cfg)
     var = variance_one_sample(P_n, pair)
-    z = normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceInterval(
         center=center,
         half_width=one_sample_half_width(var.value, var.n, z),
@@ -136,11 +137,9 @@ def ci_one_sample(P_n: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
 def ci_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure, cfg: SolverConfig,
                   alpha: float) -> ConfidenceInterval:
     """Interval for the population cost from two empirical measures."""
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    z = _two_sided_z(alpha)
     pair, _, center = _solved_cost(P_n, Q_m, cfg)
     var = variance_two_sample(P_n, Q_m, pair)
-    z = normal_quantile(1.0 - alpha / 2.0)
     return ConfidenceInterval(
         center=center,
         half_width=two_sample_half_width(var.value, var.n, var.m, z),

@@ -27,6 +27,16 @@ _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment of the splitmix64 stream
 RENORMALIZATION_BAND = 1e-9
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise NonPositiveEps(f"eps must be positive and finite, got {eps!r}")
+
+
+def fmt17(x) -> str:
+    """17 significant digits: enough for a float64 to round-trip bit for bit."""
+    return "%.17g" % float(x)
+
+
 def mix64(z: int) -> int:
     """Splitmix64 finalizer: a bijective 64-bit hash with good avalanche."""
     z &= _MASK64
@@ -148,11 +158,8 @@ def dirac(point) -> DiscreteMeasure:
 
 def uniform_on(points) -> DiscreteMeasure:
     """Uniform measure on the given support points."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    n = pts.shape[0]
-    return DiscreteMeasure(pts, np.full(n, 1.0 / n))
+    n = len(points)
+    return DiscreteMeasure(points, np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ def write_measure(measure: DiscreteMeasure, path) -> None:
     header = "w," + ",".join(f"x{k}" for k in range(1, measure.dim + 1))
     rows = [header]
     for w, pt in zip(measure.weights, measure.points):
-        rows.append(",".join("%.17g" % v for v in (w, *pt)))
+        rows.append(",".join(fmt17(v) for v in (w, *pt)))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -312,6 +319,5 @@ def sample_gaussian(mean, variance_scale: float, n: int, seed) -> DiscreteMeasur
 
 def rescale_measure(measure: DiscreteMeasure, eps: float) -> DiscreteMeasure:
     """Push the support through x -> x / sqrt(eps); weights unchanged."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise NonPositiveEps(f"eps must be positive and finite, got {eps!r}")
+    _check_eps(eps)
     return DiscreteMeasure(measure.points * eps**-0.5, measure.weights)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConverged, UnsupportedOrder
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _check_eps
 from .sinkhorn import Normalization, PotentialPair
 
 
@@ -33,8 +33,7 @@ class GaussianPairSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
+        _check_eps(self.eps)
 
 
 def gaussian_cost(spec: GaussianPairSpec) -> float:

@@ -303,7 +303,11 @@ class PotentialBoundsReport:
 
 def _lipschitz_ratio(points: np.ndarray, values: np.ndarray,
                      max_random_pairs: int) -> float:
-    """Max |dv| / |dx| over axis neighbors plus seeded random point pairs."""
+    """Max |dv| / |dx| over seeded random point pairs plus consecutive points.
+
+    Consecutive points of a :class:`GridSpec` grid are neighbours along the
+    last axis only; the random pairs cover the other axes.
+    """
     k = points.shape[0]
     best = 0.0
     stream = SplitMix64(_LIPSCHITZ_PAIR_SEED)
@@ -317,7 +321,7 @@ def _lipschitz_ratio(points: np.ndarray, values: np.ndarray,
     if np.any(ok):
         ratios = np.abs(values[ii][ok] - values[jj][ok]) / dist[ok]
         best = max(best, float(np.max(ratios)))
-    # consecutive grid points are the closest pairs; include them explicitly
+    # consecutive points: the closest pairs along the last grid axis
     diffs = np.abs(np.diff(values))
     steps = np.sqrt(np.sum(np.diff(points, axis=0) ** 2, axis=1))
     pos = steps > 0
@@ -328,7 +332,6 @@ def _lipschitz_ratio(points: np.ndarray, values: np.ndarray,
 
 def check_potential_bounds(pair: PotentialPair, P: DiscreteMeasure,
                            Q: DiscreteMeasure, domain: CompactDomain,
-                           grid: GridSpec | None = None,
                            max_random_pairs: int = 100_000) -> PotentialBoundsReport:
     """Check the uniform and Lipschitz bounds implied by a compact domain.
 
@@ -344,9 +347,7 @@ def check_potential_bounds(pair: PotentialPair, P: DiscreteMeasure,
         raise ValueError("bounds are checked at eps = 1")
     if not domain.contains(P.points) or not domain.contains(Q.points):
         raise ValueError("both supports must lie inside the domain")
-    if grid is None:
-        grid = GridSpec.default(domain)
-    pts = grid.points()
+    pts = GridSpec.default(domain).points()
     zero = (0,) * pts.shape[1]
     f_vals = f_extension(pair, Q).evaluate(pts, [zero])[zero]
     g_vals = g_extension(pair, P).evaluate(pts, [zero])[zero]

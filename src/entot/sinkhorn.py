@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeEntry, NotConverged, NotOptimal
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _check_eps
 
 # Above this many cost-matrix entries each half-step builds cost slabs of at
 # most this size instead (16M entries ~ 128 MB of float64).
@@ -32,11 +32,6 @@ DENSE_ENTRY_LIMIT = 16_000_000
 # less than 1e-100 of the sum. Below it the half-step is redone in the log
 # domain.
 _KERNEL_FLOOR = 1e-200
-
-
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
 
 
 class Normalization(enum.Enum):
@@ -315,21 +310,19 @@ def _two_sided_residual(upd: _Updates, pair: PotentialPair):
     return max(rf, rg), f_hat
 
 
-def optimality_residual(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
-                        dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> float:
+def optimality_residual(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> float:
     """Sup norm of both sides' log marginal ratios for the implied plan."""
     _check_pair_dims(P, Q, pair)
-    return _two_sided_residual(_Updates(P, Q, pair.eps, dense_entry_limit), pair)[0]
+    return _two_sided_residual(_Updates(P, Q, pair.eps), pair)[0]
 
 
-def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
-                   dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> float:
+def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> float:
     """Value of the regularized dual functional at an arbitrary pair.
 
     ``<f, a> + <g, b> - eps * sum_ij a_i b_j exp((f_i + g_j - C_ij)/eps) + eps``
     """
     _check_pair_dims(P, Q, pair)
-    upd = _Updates(P, Q, pair.eps, dense_entry_limit)
+    upd = _Updates(P, Q, pair.eps)
     return _dual_value(P, Q, pair, upd.log_a, upd.f_from(pair.g))
 
 
@@ -352,14 +345,13 @@ def _require_optimal(residual: float, tol: float) -> None:
 
 
 def cost(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
-         tol: float = 1e-9, dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> float:
+         tol: float = SolverConfig.tol) -> float:
     """Transport cost ``<f, a> + <g, b>`` of a pair satisfying optimality.
 
     Raises :class:`NotOptimal` when the pair's marginal residual exceeds
     ``10 * tol``; use the tolerance the pair was solved at.
     """
-    _check_pair_dims(P, Q, pair)
-    _require_optimal(optimality_residual(P, Q, pair, dense_entry_limit), tol)
+    _require_optimal(optimality_residual(P, Q, pair), tol)
     return float(pair.f @ P.weights + pair.g @ Q.weights)
 
 

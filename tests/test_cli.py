@@ -236,6 +236,9 @@ def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert cli.run(["solve", "--help"]) == 0
     capsys.readouterr()
+    args = cli.build_parser().parse_args(["cost", "--p", "p", "--q", "q", "--eps", "1"])
+    default = SolverConfig(eps=1.0)
+    assert (args.tol, args.max_iter) == (default.tol, default.max_iter)
 
 
 def test_kind_mismatch_exits_four(tmp_path, capsys):
