@@ -10,6 +10,10 @@ log-sum-exp, and the solve stays in the log domain from then on, with the
 cost rebuilt into the same array. Above the budget every half-step builds
 cost slabs within it (rows for f, columns for g) and runs in the log domain.
 Every log-domain half-step, and the potential extension, is ``_soft_min``.
+
+:func:`solve` overrelaxes the alternating half-steps, with a factor set from
+the observed contraction rate (Young's SOR factor), and stops on a residual
+bound that holds for any factor; see its docstring.
 """
 
 from __future__ import annotations
@@ -32,6 +36,12 @@ DENSE_ENTRY_LIMIT = 16_000_000
 # less than 1e-100 of the sum. Below it the half-step is redone in the log
 # domain.
 _KERNEL_FLOOR = 1e-200
+
+# half_sq_cost builds the cost in row slabs of about this many entries, with
+# one slab-sized temporary (256 KB, so it stays in L2). Measured fastest
+# among 16K-256K entries from 1681 x 10 to 5000 x 5000 costs; fixed 64-row
+# slabs cost skinny grids (m = 10) one numpy call per 640 entries.
+_COST_SLAB_ENTRIES = 1 << 15
 
 
 class Normalization(enum.Enum):
@@ -107,6 +117,8 @@ class SolveReport:
     the rest of the solve ran in the log domain) or ``"blocked"`` (cost
     rebuilt in slabs, log domain). A report built without a path says
     ``"log"``: every half-step in the log domain, as solves once ran.
+    ``relaxation`` is the overrelaxation factor of the last sweep (1 for a
+    plain sweep).
     """
 
     iterations: int
@@ -115,6 +127,7 @@ class SolveReport:
     converged: bool
     optimality_residual: float = math.inf
     path: str = "log"
+    relaxation: float = 1.0
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -150,21 +163,23 @@ def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) ->
     """Half squared Euclidean distances, accumulated per axis.
 
     Avoids BLAS so the summation order (and hence the bit pattern) does not
-    depend on the thread count of the underlying library. Writes into
-    ``out`` (an n x m float64 array) when given.
+    depend on the thread count of the underlying library. Built in row slabs
+    of about ``_COST_SLAB_ENTRIES`` entries, so the only temporary is one
+    slab. Writes into ``out`` (an n x m float64 array) when given.
     """
     n, m = X.shape[0], Y.shape[0]
-    if out is None:
-        C = np.zeros((n, m))
-    else:
-        C = out
-        C.fill(0.0)
-    diff = np.empty((n, m))
-    for k in range(X.shape[1]):
-        np.subtract(X[:, k, None], Y[None, :, k], out=diff)
-        np.multiply(diff, diff, out=diff)
-        C += diff
-    C *= 0.5
+    rows = max(1, _COST_SLAB_ENTRIES // max(m, 1))
+    C = np.empty((n, m)) if out is None else out
+    diff = np.empty((min(n, rows), m))
+    for start in range(0, n, rows):
+        slab = C[start:start + rows]
+        tmp = diff[:slab.shape[0]]
+        slab.fill(0.0)
+        for k in range(X.shape[1]):
+            np.subtract(X[start:start + rows, k, None], Y[None, :, k], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            slab += tmp
+        slab *= 0.5
     return C
 
 
@@ -259,16 +274,68 @@ def normalize(pair: PotentialPair, P: DiscreteMeasure, Q: DiscreteMeasure,
     return PotentialPair(pair.f + c, pair.g - c, pair.eps, convention)
 
 
+class _Relaxation:
+    """Overrelaxation factor ``w`` of :func:`solve`, updated after each sweep.
+
+    ``w`` is 1 until three consecutive ratios ``rho`` of the sweep residual
+    lie in (0, 1) and agree to within ``0.1 * (1 - rho)``; then it is Young's
+    SOR factor ``2 / (1 + sqrt(1 - rho))``. It returns to 1, and ``rho`` is
+    estimated again, when a relaxed residual exceeds ``1 / (2 - w)`` times the
+    first one at that ``w`` (more than the transient growth of SOR near its
+    optimal factor), or when relaxed ratios settle above ``rho`` (the rate was
+    estimated in a fast transient and relaxation is slower than plain sweeps).
+    """
+
+    def __init__(self):
+        self.w = 1.0
+        self._rho = 0.0
+        self._ratios: list[float] = []  # residual ratios at the current w
+        self._last = math.inf  # previous residual at the current w
+        self._first = math.inf  # first residual at the current w
+
+    def update(self, residual: float) -> None:
+        if self._last == math.inf:
+            self._first = residual
+        elif self._last > 0.0:
+            self._ratios = (self._ratios + [residual / self._last])[-3:]
+        self._last = residual
+        ratios = self._ratios
+        rate = ratios[-1] if ratios else 0.0
+        steady = (len(ratios) == 3 and 0.0 < min(ratios) and max(ratios) < 1.0
+                  and max(ratios) - min(ratios) <= 0.1 * (1.0 - rate))
+        w = self.w
+        if w == 1.0 and steady:
+            self._rho = rate
+            w = 2.0 / (1.0 + math.sqrt(1.0 - rate))
+        elif w > 1.0 and (residual > self._first / (2.0 - w) or steady and rate > self._rho):
+            w = 1.0
+        if w != self.w:
+            self.w, self._ratios, self._last = w, [], math.inf
+
+
 def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
           dense_entry_limit: int = DENSE_ENTRY_LIMIT):
-    """Run alternating dual updates until the marginal residual is met.
+    """Run overrelaxed alternating dual updates until the marginal residual is met.
 
-    One iteration updates f against the current g, then g against the new f.
-    The residual after a sweep is the sup norm of the log column-marginal
-    ratio, i.e. ``max_j |g_new_j - g_old_j| / eps``; at or below ``cfg.tol``
-    both marginals of the implied plan match the weights to within ``tol``.
-    The report's dual value and two-sided optimality residual are computed
-    on the operator the iteration used.
+    One iteration (sweep) moves f toward ``f_from(g)``, then g toward
+    ``g_from(f)``: ``f <- f + w*(f_from(g) - f)``, ``g <- g + w*(g_from(f) - g)``.
+    The sweep residual is ``max |g_from(f) - g| / eps``. The factor ``w`` is 1
+    until three consecutive ratios ``rho`` of the sweep residual lie in (0, 1)
+    and agree to within ``0.1 * (1 - rho)``; then ``w = 2 / (1 + sqrt(1 - rho))``
+    (Young's SOR factor, with ``rho`` the Gauss-Seidel rate ``mu**2``). If the
+    relaxed residual grows past its transient bound, or settles to a rate no
+    better than ``rho``, ``w`` returns to 1 and ``rho`` is estimated again
+    (:class:`_Relaxation`).
+
+    The solve stops once ``(max |g_from(f) - g| + (1 - 1/w) * max |f - f_prev|)
+    / eps <= cfg.tol`` and returns ``(f, g_from(f))``. At ``w = 1`` this is the
+    change in g over the sweep. For any ``w`` it bounds the two-sided residual
+    of the returned pair: its column marginals are exact, and since the soft
+    c-transform is 1-Lipschitz in the sup norm, ``|f - f_from(g_from(f))|`` is
+    at most ``|f_from(g_prev) - f| + |g_from(f) - g_prev|``, where
+    ``f_from(g_prev) - f = (1/w - 1) * (f - f_prev)``. The report's dual value
+    and two-sided optimality residual are computed on the operator the
+    iteration used; its ``relaxation`` is the factor of the last sweep.
 
     Returns ``(pair, report)`` with the pair normalized to equal means.
     Raises :class:`NotConverged` (with the report and pair attached) if the
@@ -277,21 +344,32 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
     upd = _Updates(P, Q, cfg.eps, dense_entry_limit)
     g = np.zeros(Q.n)
     f = np.zeros(P.n)
+    relax = _Relaxation()
     residual = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
-        f = upd.f_from(g)
-        g_new = upd.g_from(f)
-        residual = float(np.max(np.abs(g_new - g))) / cfg.eps
-        g = g_new
+        w = relax.w
+        f_hat = upd.f_from(g)
+        if w == 1.0:  # plain sweeps keep the unrelaxed arithmetic bit for bit
+            f, f_move = f_hat, 0.0
+        else:
+            step = f_hat - f
+            f = f + w * step
+            f_move = (w - 1.0) * float(np.max(np.abs(step)))
+        g_hat = upd.g_from(f)
+        step = g_hat - g
+        moved = float(np.max(np.abs(step))) / cfg.eps
+        residual = moved + f_move / cfg.eps
         if residual <= cfg.tol:
             converged = True
             break
-    pair = normalize(PotentialPair(f, g, cfg.eps), P, Q, Normalization.EQUAL_MEANS)
+        g = g_hat if w == 1.0 else g + w * step
+        relax.update(moved)
+    pair = normalize(PotentialPair(f, g_hat, cfg.eps), P, Q, Normalization.EQUAL_MEANS)
     optimality, f_hat = _two_sided_residual(upd, pair)
     dual = _dual_value(P, Q, pair, upd.log_a, f_hat)
-    report = SolveReport(iterations, residual, dual, converged, optimality, upd.path)
+    report = SolveReport(iterations, residual, dual, converged, optimality, upd.path, w)
     if not converged:
         raise NotConverged(
             f"residual {residual:.3e} above tol {cfg.tol:.3e} "

@@ -267,6 +267,61 @@ def test_solver_config_validation():
 def test_solve_report_defaults_keep_positional_construction():
     report = sk.SolveReport(3, 1e-10, 0.5, True)
     assert report.path == "log" and report.optimality_residual == np.inf
+    assert report.relaxation == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 130])
+def test_half_sq_cost_slabs_match_per_axis_sum(n):
+    # 512 columns make 64-row slabs: row counts below, at, just above and at
+    # twice the slab height
+    stream = ms.SeedSpec(SUITE_SEED, 61).stream()
+    X = stream.uniforms(n * 3).reshape(n, 3)
+    Y = stream.uniforms(512 * 3).reshape(512, 3)
+    assert sk._COST_SLAB_ENTRIES // 512 == 64
+    want = np.zeros((n, 512))
+    for k in range(3):
+        want += (X[:, k, None] - Y[None, :, k]) ** 2
+    want *= 0.5
+    assert sk.half_sq_cost(X, Y).tobytes() == want.tobytes()
+    out = np.full((n, 512), np.nan)
+    assert sk.half_sq_cost(X, Y, out=out) is out and out.tobytes() == want.tobytes()
+
+
+# Sweeps the plain iteration needed on the pair below (measured before
+# overrelaxation was added).
+_PLAIN_SWEEPS = 51
+
+
+def _small_eps_gaussian_solve(tol=1e-9):
+    """Solve of one seeded d=2 Gaussian pair at eps=0.5, n=m=250."""
+    stream = ms.SeedSpec(SUITE_SEED, 60).stream()
+    P = ms.sample_gaussian(np.zeros(2), 1.0, 250, stream)
+    Q = ms.sample_gaussian(np.full(2, np.sqrt(2.0)), 1.0, 250, stream)
+    return sk.solve(P, Q, SolverConfig(eps=0.5, tol=tol))
+
+
+def test_overrelaxation_engages_at_small_eps():
+    _, report = _small_eps_gaussian_solve()
+    assert report.relaxation > 1.0
+
+
+def test_overrelaxation_cuts_sweeps_by_a_quarter():
+    _, report = _small_eps_gaussian_solve()
+    assert report.iterations <= 0.75 * _PLAIN_SWEEPS
+
+
+def test_relaxed_stop_rule_bounds_the_two_sided_residual():
+    _, report = _small_eps_gaussian_solve()
+    assert report.relaxation > 1.0
+    assert report.optimality_residual <= report.final_residual <= 1e-9
+
+
+def test_relaxed_solve_matches_a_tight_solve():
+    pair, report = _small_eps_gaussian_solve()
+    tight, _ = _small_eps_gaussian_solve(tol=1e-13)
+    assert report.relaxation > 1.0
+    assert np.max(np.abs(pair.f - tight.f)) <= 1e-8
+    assert np.max(np.abs(pair.g - tight.g)) <= 1e-8
 
 
 def _with_zero_weights(P):

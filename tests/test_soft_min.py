@@ -75,7 +75,9 @@ def _solve_case(draw):
 @hypothesis.given(_solve_case())
 def test_blocked_solve_matches_dense_log_solve(case):
     P, Q, eps = case
-    cfg = SolverConfig(eps=eps, tol=1e-11)
+    # A few times the most sweeps any of 1000 drawn cases needed (122), so a
+    # regression fails fast instead of shrinking through 100k-sweep solves.
+    cfg = SolverConfig(eps=eps, tol=1e-11, max_iter=1_000)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sk, "_KERNEL_FLOOR", np.inf)
         dense, dense_report = sk.solve(P, Q, cfg)

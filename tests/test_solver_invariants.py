@@ -14,6 +14,8 @@ from entot import measures as ms
 from entot import sinkhorn as sk
 from entot.sinkhorn import PotentialPair, SolverConfig
 
+from _util import SUITE_SEED
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
@@ -21,6 +23,9 @@ arrays = pytest.importorskip("hypothesis.extra.numpy").arrays
 _SETTINGS = hypothesis.settings(max_examples=20, deadline=None, derandomize=True,
                                 database=None)
 _TOL = 1e-9
+# A few times the most sweeps any of 1000 drawn problems needed (1984), so a
+# regression fails fast instead of shrinking through 100k-sweep solves.
+_MAX_ITER = 10_000
 _PATHS = ("kernel", "log", "blocked")
 
 
@@ -35,7 +40,8 @@ def _on_path(path):
 
 def _solve(P, Q, eps, path):
     limit = P.n * Q.n // 2 if path == "blocked" else sk.DENSE_ENTRY_LIMIT
-    pair, report = sk.solve(P, Q, SolverConfig(eps=eps, tol=_TOL), dense_entry_limit=limit)
+    pair, report = sk.solve(P, Q, SolverConfig(eps=eps, tol=_TOL, max_iter=_MAX_ITER),
+                            dense_entry_limit=limit)
     assert report.path == {"kernel": "kernel", "log": "kernel+log", "blocked": "blocked"}[path]
     return pair, report
 
@@ -108,13 +114,28 @@ def test_plan_marginals_within_tol(path, problem):
     assert np.max(np.abs(pi.sum(axis=0) - Q.weights)) <= _TOL
 
 
+def _relaxing_problem():
+    """8 atoms a side in [-2, 2]^2 at eps=0.2: the solve relaxes (w about 1.37)."""
+    stream = ms.SeedSpec(SUITE_SEED, 62).stream()
+    X, Y = (4.0 * stream.uniforms(16).reshape(8, 2) - 2.0 for _ in range(2))
+    return ms.uniform_on(X), ms.uniform_on(Y), 0.2
+
+
 @pytest.mark.parametrize("path", _PATHS)
-@_SETTINGS
-@hypothesis.given(_problem())
-def test_optimality_residual_at_most_final_residual(path, problem):
-    # g is already g_from(f), and the f half-step is non-expansive in sup
-    # norm, so f is no further from f_from(g) than the last sweep moved g
-    P, Q, eps = problem
-    with _on_path(path):
-        _, report = _solve(P, Q, eps, path)
-    assert report.optimality_residual <= report.final_residual + 1e-12
+def test_optimality_residual_at_most_final_residual(path):
+    # g is g_from(f), so its side is exact; the f side is bounded by the
+    # stop rule for any overrelaxation factor. Some examples must relax.
+    relaxations = []
+
+    @_SETTINGS
+    @hypothesis.given(_problem())
+    @hypothesis.example(_relaxing_problem())
+    def check(problem):
+        P, Q, eps = problem
+        with _on_path(path):
+            _, report = _solve(P, Q, eps, path)
+        relaxations.append(report.relaxation)
+        assert report.optimality_residual <= report.final_residual + 1e-12
+
+    check()
+    assert max(relaxations) > 1.0
