@@ -25,7 +25,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -419,7 +419,7 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int):
     _check_kind(cfg, kind)
     scenario = _scenario_for(cfg)
     statistic, labels = _KINDS[kind]
-    # more workers than replicates or cores only costs threads
+    # at most one worker per replicate and four per core, whatever --threads asks
     workers = min(threads, cfg.replicates, 4 * (os.cpu_count() or 1))
     stats: dict = {}
     cells = []
@@ -477,13 +477,39 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
 # config file parsing
 
 
+def _enum(cls, what: str):
+    def conv(text: str):
+        try:
+            return cls(text.lower())
+        except ValueError as exc:
+            raise ConfigError(f"unknown {what} {text!r}") from exc
+    return conv
+
+
+def _comma_list(conv):
+    return lambda text: tuple(conv(tok.strip()) for tok in text.split(","))
+
+
+# key -> converter of its value text, in conversion order. tol and max_iter go
+# to SolverConfig; the rest are ExperimentConfig fields, required without a default.
 _CONFIG_KEYS = {
-    "kind", "scenario", "dims", "eps_list", "n_list", "replicates",
-    "alpha", "seed", "tol", "max_iter", "atoms", "p_file", "q_file",
+    "kind": _enum(ExperimentKind, "kind"),
+    "scenario": _enum(ScenarioKind, "scenario"),
+    "eps_list": _comma_list(float),
+    "tol": float,
+    "max_iter": int,
+    "dims": _comma_list(int),
+    "n_list": _comma_list(int),
+    "replicates": int,
+    "alpha": float,
+    "seed": int,
+    "atoms": int,
+    "p_file": str,
+    "q_file": str,
 }
 
-_REQUIRED_KEYS = ("kind", "scenario", "dims", "eps_list", "n_list",
-                  "replicates", "alpha", "seed")
+_REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                       if f.default is MISSING and f.name != "solver")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -510,52 +536,19 @@ def parse_config(text: str) -> ExperimentConfig:
     missing = [k for k in _REQUIRED_KEYS if k not in entries]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-
-    def _num(key, conv, default=None):
-        raw = entries.get(key)
-        if raw is None:
-            return default
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
-
-    def _list(key, conv):
-        try:
-            return tuple(conv(tok.strip()) for tok in entries[key].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
-
+    values = {}
+    for key, conv in _CONFIG_KEYS.items():
+        if key in entries:
+            try:
+                values[key] = conv(entries[key])
+            except ValueError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from exc
     try:
-        kind = ExperimentKind(entries["kind"].lower())
-    except ValueError as exc:
-        raise ConfigError(f"unknown kind {entries['kind']!r}") from exc
-    try:
-        scenario = ScenarioKind(entries["scenario"].lower())
-    except ValueError as exc:
-        raise ConfigError(f"unknown scenario {entries['scenario']!r}") from exc
-
-    eps_list = _list("eps_list", float)
-    tol = _num("tol", float, SolverConfig.tol)
-    max_iter = _num("max_iter", int, SolverConfig.max_iter)
-    try:
-        solver = SolverConfig(eps=eps_list[0], tol=tol, max_iter=max_iter)
+        solver = SolverConfig(eps=values["eps_list"][0],
+                              **{k: values.pop(k) for k in ("tol", "max_iter") if k in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        kind=kind,
-        scenario=scenario,
-        dims=_list("dims", int),
-        eps_list=eps_list,
-        n_list=_list("n_list", int),
-        replicates=_num("replicates", int),
-        alpha=_num("alpha", float),
-        seed=_num("seed", int),
-        solver=solver,
-        atoms=_num("atoms", int, 10),
-        p_file=entries.get("p_file"),
-        q_file=entries.get("q_file"),
-    )
+    return ExperimentConfig(solver=solver, **values)
 
 
 def load_config(path) -> ExperimentConfig:

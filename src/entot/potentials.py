@@ -129,8 +129,7 @@ class ExtendedPotential:
             raise ValueError("pair does not match the opposite measure's support")
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         W = half_sq_cost(pts, self.opposite.points)
-        ext = _soft_min(values, _log_weights(self.opposite.weights), W,
-                        self.pair.eps, 1, W)
+        ext = _soft_min(values, _log_weights(self.opposite.weights), W, self.pair.eps, W)
         W /= W.sum(axis=1, keepdims=True)
         return ext, W
 

@@ -8,8 +8,9 @@ sum falls below ``_KERNEL_FLOOR`` (``K`` has underflowed where it matters),
 that half-step is redone on log-scale quantities with max-shifted
 log-sum-exp, and the solve stays in the log domain from then on, with the
 cost rebuilt into the same array. Above the budget every half-step builds
-cost slabs within it (rows for f, columns for g) and runs in the log domain.
-Every log-domain half-step, and the potential extension, is ``_soft_min``.
+row slabs of the cost within it and runs in the log domain. The g step is
+the f step on the transposed operator. Every log-domain half-step, and the
+potential extension, is ``_soft_min``.
 
 :func:`solve` overrelaxes the alternating half-steps, with a factor set from
 the observed contraction rate (Young's SOR factor), and stops on a residual
@@ -135,28 +136,28 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
         return np.where(w > 0, np.log(np.maximum(w, np.finfo(np.float64).tiny)), -np.inf)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """Max-shifted log-sum-exp along ``axis``; overwrites ``a`` with exponentials."""
-    m = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Max-shifted log-sum-exp along the last axis; overwrites ``a`` with exponentials."""
+    m = np.max(a, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     e = np.exp(np.subtract(a, m, out=a), out=a)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(e, axis=axis)) + np.squeeze(m, axis=axis)
+        out = np.log(np.sum(e, axis=-1)) + m[..., 0]
     return out
 
 
 def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float,
-              axis: int, out: np.ndarray) -> np.ndarray:
-    """Soft c-transform ``-eps * log sum_k w_k exp((pot_k - C)/eps)`` along ``axis``.
+              out: np.ndarray) -> np.ndarray:
+    """Soft c-transform ``-eps * log sum_j w_j exp((pot_j - C_ij)/eps)`` of each row.
 
-    ``pot`` and ``log_w`` index ``axis`` of ``C``. Works in place in ``out``
-    (which may be ``C``) and leaves there the max-shifted exponentials.
+    ``pot`` and ``log_w`` index the columns of ``C`` (pass ``C.T`` to reduce
+    along columns). Works in place in ``out`` (which may be ``C``) and leaves
+    there the max-shifted exponentials.
     """
-    shape = (1, -1) if axis == 1 else (-1, 1)
-    np.subtract(pot.reshape(shape), C, out=out)
+    np.subtract(pot, C, out=out)
     np.divide(out, eps, out=out)
-    np.add(out, log_w.reshape(shape), out=out)
-    return -eps * _logsumexp(out, axis=axis)
+    np.add(out, log_w, out=out)
+    return -eps * _logsumexp(out)
 
 
 def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -203,46 +204,48 @@ class _Updates:
         self.log_b = _log_weights(Q.weights)
         self.eps = eps
         self._limit = dense_entry_limit
-        self._op = self._work = None
+        self._points = ((self.X, self.Y), (self.Y, self.X))
+        self._ops = self._works = None
         if P.n * Q.n > dense_entry_limit:
             self.path = "blocked"
             return
-        self._op = half_sq_cost(self.X, self.Y)
-        np.divide(self._op, -eps, out=self._op)
-        np.exp(self._op, out=self._op)
+        K = half_sq_cost(self.X, self.Y)
+        np.divide(K, -eps, out=K)
+        np.exp(K, out=K)
+        self._ops = (K, K.T)
         self.path = "kernel"
 
-    def _half_step(self, pot: np.ndarray, log_w: np.ndarray, axis: int) -> np.ndarray:
-        """:func:`_soft_min` of ``pot`` along ``axis`` of the cost."""
+    def _half_step(self, pot: np.ndarray, log_w: np.ndarray, side: int) -> np.ndarray:
+        """:func:`_soft_min` of ``pot`` along rows of the cost (side 0) or its transpose (1)."""
         eps = self.eps
         if self.path == "blocked":
-            # Row slabs for f, column slabs for g; each slab is its own workspace.
-            X, Y = self.X, self.Y
-            kept, summed = (X, Y) if axis == 1 else (Y, X)
-            step = max(1, self._limit // summed.shape[0])
-            out = np.empty(kept.shape[0])
-            for start in range(0, kept.shape[0], step):
+            # Row slabs of the cost; each slab is its own workspace.
+            rows, cols = self._points[side]
+            step = max(1, self._limit // cols.shape[0])
+            out = np.empty(rows.shape[0])
+            for start in range(0, rows.shape[0], step):
                 k = slice(start, start + step)
-                C = half_sq_cost(X[k], Y) if axis == 1 else half_sq_cost(X, Y[k])
-                out[k] = _soft_min(pot, log_w, C, eps, axis, C)
+                C = half_sq_cost(rows[k], cols)
+                out[k] = _soft_min(pot, log_w, C, eps, C)
             return out
+        op = self._ops[side]
         if self.path == "kernel":
             t = log_w + pot / eps
             top = np.max(t)
-            s = np.einsum("ij,j->i" if axis == 1 else "ij,i->j", self._op, np.exp(t - top))
+            s = np.einsum("ij,j->i", op, np.exp(t - top))
             if np.min(s) >= _KERNEL_FLOOR:
                 return -eps * (np.log(s) + top)
-            half_sq_cost(self.X, self.Y, out=self._op)
+            half_sq_cost(self.X, self.Y, out=self._ops[0])  # both views now read C
+            work = np.empty_like(self._ops[0])
+            self._works = (work, work.T)
             self.path = "kernel+log"
-        if self._work is None:
-            self._work = np.empty_like(self._op)
-        return _soft_min(pot, log_w, self._op, eps, axis, self._work)
+        return _soft_min(pot, log_w, op, eps, self._works[side])
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
-        return self._half_step(g, self.log_b, axis=1)
+        return self._half_step(g, self.log_b, 0)
 
     def g_from(self, f: np.ndarray) -> np.ndarray:
-        return self._half_step(f, self.log_a, axis=0)
+        return self._half_step(f, self.log_a, 1)
 
 
 def _check_pair_dims(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair):
@@ -411,7 +414,7 @@ def _dual_value(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
     ``sum_j b_j exp((g_j - C_ij)/eps) = exp(-f_hat_i/eps)``, so the plan's
     total mass is ``sum_i a_i exp((f_i - f_hat_i)/eps)``.
     """
-    mass = float(np.exp(_logsumexp(log_a + (pair.f - f_hat) / pair.eps, axis=0)))
+    mass = float(np.exp(_logsumexp(log_a + (pair.f - f_hat) / pair.eps)))
     return float(pair.f @ P.weights + pair.g @ Q.weights) - pair.eps * mass + pair.eps
 
 
@@ -447,12 +450,12 @@ def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
 def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> TransportPlan:
     """Entropic coupling ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``."""
     _check_pair_dims(P, Q, pair)
-    C = half_sq_cost(P.points, Q.points)
-    log_a = _log_weights(P.weights)
-    log_b = _log_weights(Q.weights)
-    s = (log_a[:, None] + log_b[None, :]
-         + (pair.f[:, None] + pair.g[None, :] - C) / pair.eps)
-    return TransportPlan(np.exp(s))
+    E = half_sq_cost(P.points, Q.points)
+    # row i is a_i exp((f_i - f_hat_i)/eps) times the f half-step's exponentials, normalised
+    f_hat = _soft_min(pair.g, _log_weights(Q.weights), E, pair.eps, E)
+    E /= E.sum(axis=1, keepdims=True)
+    E *= np.exp(_log_weights(P.weights) + (pair.f - f_hat) / pair.eps)[:, None]
+    return TransportPlan(E)
 
 
 def primal_cost(P: DiscreteMeasure, Q: DiscreteMeasure, transport: TransportPlan,

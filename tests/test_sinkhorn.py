@@ -103,6 +103,31 @@ def test_plan_marginals_within_tol():
         assert np.max(np.abs(entries.sum(axis=0) - Q.weights)) <= tol
 
 
+def test_plan_matches_the_log_plan_formula():
+    # plan() reads the coupling off an f half-step; this is the entrywise
+    # formula it replaced, on pairs with g = g_from(f) (f is not f_from(g)).
+    stream = ms.SeedSpec(SUITE_SEED, 34).stream()
+    for _ in range(200):
+        d = 1 + int(3 * stream.next_float())
+        n, m = (1 + int(8 * stream.next_float()) for _ in range(2))
+        X, Y = (4.0 * stream.uniforms(k * d).reshape(k, d) - 2.0 for k in (n, m))
+        # about a third of the atoms carry no weight; at least one carries some
+        a, b = (np.where(stream.uniforms(k) < 0.3, 0.0, stream.uniforms(k) + 0.1)
+                for k in (n, m))
+        a[0] = b[-1] = 1.0
+        P, Q = ms.DiscreteMeasure(X, a / a.sum()), ms.DiscreteMeasure(Y, b / b.sum())
+        eps = 0.05 * 40.0 ** stream.next_float()
+        f = 2.0 * stream.uniforms(n) - 1.0
+        g = sk._Updates(P, Q, eps).g_from(f)
+        C = 0.5 * np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
+        with np.errstate(divide="ignore"):
+            want = np.exp(np.log(P.weights)[:, None] + np.log(Q.weights)[None, :]
+                          + (f[:, None] + g[None, :] - C) / eps)
+        got = sk.plan(P, Q, sk.PotentialPair(f, g, eps)).entries
+        assert np.array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(want))
+
+
 def test_primal_cost_product_plan():
     P, Q = ms.dirac([0.0]), ms.dirac([3.0])
     product = sk.TransportPlan(np.array([[1.0]]))
@@ -273,7 +298,8 @@ def test_solve_report_defaults_keep_positional_construction():
 @pytest.mark.parametrize("n", [1, 64, 65, 130])
 def test_half_sq_cost_slabs_match_per_axis_sum(n):
     # 512 columns make 64-row slabs: row counts below, at, just above and at
-    # twice the slab height
+    # twice the slab height. The transposed build (n columns, the g step's
+    # blocked slabs) has one slab of 512 rows at n <= 64, two at 65, three at 130.
     stream = ms.SeedSpec(SUITE_SEED, 61).stream()
     X = stream.uniforms(n * 3).reshape(n, 3)
     Y = stream.uniforms(512 * 3).reshape(512, 3)
@@ -285,6 +311,7 @@ def test_half_sq_cost_slabs_match_per_axis_sum(n):
     assert sk.half_sq_cost(X, Y).tobytes() == want.tobytes()
     out = np.full((n, 512), np.nan)
     assert sk.half_sq_cost(X, Y, out=out) is out and out.tobytes() == want.tobytes()
+    assert sk.half_sq_cost(Y, X).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 # Sweeps the plain iteration needed on the pair below (measured before

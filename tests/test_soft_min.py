@@ -53,7 +53,8 @@ def test_soft_min_matches_scipy_logsumexp(case):
         want = -eps * special.logsumexp(logits, axis=axis,
                                         b=np.broadcast_to(w.reshape(shape), C.shape))
         out = C.copy()
-        got = sk._soft_min(pot, sk._log_weights(w), out, eps, axis, out)
+        view = out if axis == 1 else out.T  # columns reduce as rows of the transpose
+        got = sk._soft_min(pot, sk._log_weights(w), view, eps, view)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
         # what is left in ``out`` normalises to the conditional weights
         weights = out / out.sum(axis=axis, keepdims=True)
