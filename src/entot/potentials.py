@@ -265,6 +265,15 @@ class PotentialDifference:
         return {a: lt[a] - rt[a] for a in lt}
 
 
+def _order_terms(tables: dict, alphas, s: int) -> list[float]:
+    """Entry i, for i = 0..s: the sum over ``alphas`` with |alpha| = i, in
+    their order, of the grid max of |tables[alpha]|."""
+    terms = [0.0] * (s + 1)
+    for alpha in alphas:
+        terms[sum(alpha)] += float(np.max(np.abs(tables[alpha])))
+    return terms
+
+
 def holder_norm(delta, order: HolderOrder, grid: GridSpec) -> HolderNormEstimate:
     """Sum over orders 0..s of grid maxima of |D^alpha delta|.
 
@@ -273,12 +282,8 @@ def holder_norm(delta, order: HolderOrder, grid: GridSpec) -> HolderNormEstimate
     graded lexicographic, so the assembly order is deterministic.
     """
     pts = grid.points()
-    dim = pts.shape[1]
-    alphas = multi_indices(dim, order.s)
-    tables = delta.evaluate(pts, alphas)
-    terms = [0.0] * (order.s + 1)
-    for alpha in alphas:
-        terms[sum(alpha)] += float(np.max(np.abs(tables[alpha])))
+    alphas = multi_indices(pts.shape[1], order.s)
+    terms = _order_terms(delta.evaluate(pts, alphas), alphas, order.s)
     return HolderNormEstimate(
         value=float(sum(terms)),
         order=order,

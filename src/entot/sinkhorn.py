@@ -287,6 +287,12 @@ class _Relaxation:
     first one at that ``w`` (more than the transient growth of SOR near its
     optimal factor), or when relaxed ratios settle above ``rho`` (the rate was
     estimated in a fast transient and relaxation is slower than plain sweeps).
+    It also returns to 1 when a relaxed stretch has run as many sweeps as the
+    solve ran before it and its residual is still not below the stretch's
+    first (on a residual plateau rho reads near 1, ``w`` near 2, and the
+    growth bound ``1 / (2 - w)`` never fires); then ``w`` stays 1 for at
+    least as many sweeps as that stretch ran, so a stalled stretch never
+    outlasts the plain sweeps after it.
     """
 
     def __init__(self):
@@ -295,8 +301,12 @@ class _Relaxation:
         self._ratios: list[float] = []  # residual ratios at the current w
         self._last = math.inf  # previous residual at the current w
         self._first = math.inf  # first residual at the current w
+        self._sweeps = 0  # updates so far
+        self._start = 0  # updates before the current w was set
+        self._hold = 0  # no relaxing before this many updates
 
     def update(self, residual: float) -> None:
+        self._sweeps += 1
         if self._last == math.inf:
             self._first = residual
         elif self._last > 0.0:
@@ -307,13 +317,16 @@ class _Relaxation:
         steady = (len(ratios) == 3 and 0.0 < min(ratios) and max(ratios) < 1.0
                   and max(ratios) - min(ratios) <= 0.1 * (1.0 - rate))
         w = self.w
-        if w == 1.0 and steady:
+        if w == 1.0 and steady and self._sweeps >= self._hold:
             self._rho = rate
             w = 2.0 / (1.0 + math.sqrt(1.0 - rate))
         elif w > 1.0 and (residual > self._first / (2.0 - w) or steady and rate > self._rho):
             w = 1.0
+        elif w > 1.0 and self._sweeps >= 2 * self._start and residual >= self._first:
+            w, self._hold = 1.0, 2 * self._sweeps - self._start
         if w != self.w:
             self.w, self._ratios, self._last = w, [], math.inf
+            self._start = self._sweeps
 
 
 def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
@@ -326,9 +339,11 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
     until three consecutive ratios ``rho`` of the sweep residual lie in (0, 1)
     and agree to within ``0.1 * (1 - rho)``; then ``w = 2 / (1 + sqrt(1 - rho))``
     (Young's SOR factor, with ``rho`` the Gauss-Seidel rate ``mu**2``). If the
-    relaxed residual grows past its transient bound, or settles to a rate no
-    better than ``rho``, ``w`` returns to 1 and ``rho`` is estimated again
-    (:class:`_Relaxation`).
+    relaxed residual grows past its transient bound, settles to a rate no
+    better than ``rho``, or is no lower after as many sweeps as the solve ran
+    before relaxing, ``w`` returns to 1 and ``rho`` is estimated again
+    (:class:`_Relaxation`); after that last case, a stall, ``w`` stays 1 for
+    at least as many sweeps as the stalled stretch ran.
 
     The solve stops once ``(max |g_from(f) - g| + (1 - 1/w) * max |f - f_prev|)
     / eps <= cfg.tol`` and returns ``(f, g_from(f))``. At ``w = 1`` this is the

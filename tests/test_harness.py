@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from entot import potentials as pot
 from entot import sinkhorn as sk
 from entot.errors import ConfigError
 from entot.harness import EmitFormat, ExperimentConfig, ExperimentKind, ScenarioKind
-from entot.sinkhorn import SolverConfig
+from entot.sinkhorn import Normalization, SolverConfig
 
 from _util import SUITE_SEED
 
@@ -360,6 +362,28 @@ def test_potential_rate_smoke():
         for p in curve.points:
             assert p.mean >= 0.0
         assert np.isfinite(curve.slope)
+
+
+def test_potential_statistic_matches_holder_norm_bit_for_bit():
+    # f*'s grid tables are evaluated once per (d, eps) and shared by the
+    # replicates; each replicate must read what holder_norm gives for it.
+    cfg = hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt")
+    scenario = hz._scenario_for(cfg)
+    P, Q = scenario.pair(2)
+    stat = hz._potential_statistic(scenario, 2, cfg.solver)
+    pop, _ = sk.solve(P, Q, hz._tight_solver(cfg, 1.0))
+    f_star = pot.f_extension(sk.normalize(pop, P, Q, Normalization.ZERO_G_MEAN), Q)
+    grid = pot.GridSpec.default(ms.CompactDomain.enclosing(P, Q))
+    order = pot.HolderOrder.for_dimension(2)
+    for n in (50, 800):
+        for r in range(3):
+            seed = ms.derived_seed(cfg.seed, n, r)
+            P_n = ms.sample_empirical(P, n, ms.SplitMix64(seed))
+            pair, _ = sk.solve(P_n, Q, cfg.solver)
+            pair = sk.normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
+            delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
+            est = pot.holder_norm(delta, order, grid)
+            assert stat(ms.SplitMix64(seed), n) == (est.value**2, est.order_terms[0] ** 2)
 
 
 def test_divergence_rate_smoke():

@@ -351,6 +351,32 @@ def test_relaxed_solve_matches_a_tight_solve():
     assert np.max(np.abs(pair.g - tight.g)) <= 1e-8
 
 
+def _stalling_problem(index):
+    """Problem ``index`` of a seeded set: 2-3 atoms against 5-8 in [-2, 2]^3,
+    about 30% zero weights, eps in [0.05, 0.075)."""
+    rng = np.random.default_rng(11)
+    for _ in range(index + 1):
+        n, m = rng.integers(2, 4), rng.integers(5, 9)
+        X, Y = (4 * rng.random((k, 3)) - 2 for k in (n, m))
+        a, b = (np.where(rng.random(k) < 0.3, 0.0, rng.random(k) + 0.1) for k in (n, m))
+        a[0] = b[-1] = 1.0
+        eps = 0.05 * 1.5 ** rng.random()
+    return ms.DiscreteMeasure(X, a / a.sum()), ms.DiscreteMeasure(Y, b / b.sum()), eps
+
+
+@pytest.mark.parametrize("index", [95, 263])
+def test_relaxation_does_not_stall_a_solve_plain_sweeps_finish(index, monkeypatch):
+    # On a residual plateau rho reads near 1 and w near 2. Without the stall
+    # test these two problems run out of 100k sweeps; plain sweeps need 595
+    # and 246.
+    P, Q, eps = _stalling_problem(index)
+    with monkeypatch.context() as m:
+        m.setattr(sk._Relaxation, "update", lambda self, residual: None)
+        _, plain = sk.solve(P, Q, SolverConfig(eps=eps))
+    _, report = sk.solve(P, Q, SolverConfig(eps=eps, max_iter=2 * plain.iterations))
+    assert report.converged
+
+
 def _with_zero_weights(P):
     w = P.weights.copy()
     w[0] = 0.0

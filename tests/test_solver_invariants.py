@@ -2,7 +2,8 @@
 
 Small problems run on the Gibbs kernel by default; the log path is forced by
 setting ``_KERNEL_FLOOR`` to infinity, and the blocked path by a
-``dense_entry_limit`` below the number of cost entries.
+``dense_entry_limit`` below the number of cost entries. One test reaches the
+log path without forcing, through a kernel that underflows at small eps.
 """
 
 import contextlib
@@ -109,6 +110,34 @@ def test_plan_marginals_within_tol(path, problem):
     P, Q, eps = problem
     with _on_path(path):
         pair, _ = _solve(P, Q, eps, path)
+    pi = sk.plan(P, Q, pair).entries
+    assert np.max(np.abs(pi.sum(axis=1) - P.weights)) <= _TOL
+    assert np.max(np.abs(pi.sum(axis=0) - Q.weights)) <= _TOL
+
+
+@st.composite
+def _underflow_problem(draw):
+    """A :func:`_problem` moved to eps in [1e-4, 1e-2], with Q far enough off
+    that every cost entry is at least 470 * eps: the first kernel half-step
+    underflows. Scaling the points by sqrt(eps'/eps) keeps the problem's
+    conditioning (the scaling identity); moving Q adds only row and column
+    constants to the cost."""
+    P, Q, eps = draw(_problem())
+    small = 10.0 ** draw(st.floats(-4.0, -2.0))
+    c = np.sqrt(small / eps)
+    gap = 4.0 * c * np.sqrt(P.dim) + np.sqrt(2.0 * draw(st.floats(470.0, 1000.0)) * small)
+    shift = np.eye(P.dim)[0] * gap
+    return (ms.DiscreteMeasure(c * P.points, P.weights),
+            ms.DiscreteMeasure(c * Q.points + shift, Q.weights), small)
+
+
+@_SETTINGS
+@hypothesis.given(_underflow_problem())
+def test_kernel_underflow_keeps_marginals_and_residual_bound(problem):
+    P, Q, eps = problem
+    pair, report = sk.solve(P, Q, SolverConfig(eps=eps, tol=_TOL, max_iter=_MAX_ITER))
+    assert report.path == "kernel+log"
+    assert report.optimality_residual <= report.final_residual + 1e-12
     pi = sk.plan(P, Q, pair).entries
     assert np.max(np.abs(pi.sum(axis=1) - P.weights)) <= _TOL
     assert np.max(np.abs(pi.sum(axis=0) - Q.weights)) <= _TOL
