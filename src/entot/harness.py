@@ -44,7 +44,8 @@ from .measures import (
     sample_gaussian,
 )
 from .oracle import GaussianPairSpec, gaussian_cost
-from .potentials import GridSpec, HolderOrder, _order_terms, f_extension, multi_indices
+from .potentials import (GridSpec, HolderOrder, _kernel_tables, _order_terms, f_extension,
+                         multi_indices)
 from .sinkhorn import Normalization, SolverConfig, _solved_cost, normalize, solve
 
 _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draws
@@ -285,17 +286,20 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
     """(holder_sq, sup_sq): the squared grid norm of (empirical minus
     population) f potentials, and its squared sup-norm term alone.
 
-    The population side f* is fixed per (d, eps): its grid tables are
-    evaluated here once and shared, read-only, by every replicate, which
-    subtracts them as :class:`PotentialDifference` does, so each value is
-    bit-identical to ``holder_norm(PotentialDifference(f_n, f*), ...)``."""
+    The grid-to-Q kernel and Q's monomials, and the population side f*'s
+    grid tables, are fixed per (d, eps): they are built here once and
+    shared, read-only, by every replicate, which evaluates its extension on
+    them and subtracts f*'s tables as :class:`PotentialDifference` does, so
+    each value is bit-identical to
+    ``holder_norm(PotentialDifference(f_n, f*), ...)``."""
     P, Q = scenario.pair(d)
     pts = GridSpec.default(CompactDomain.enclosing(P, Q)).points()
     s = HolderOrder.for_dimension(d).s
     alphas = multi_indices(d, s)
+    tables = _kernel_tables(pts, Q.points, solver.eps, s)
     pop_pair, _ = solve(P, Q, _tight_solver(scenario.cfg, solver.eps))
-    star = f_extension(normalize(pop_pair, P, Q, Normalization.ZERO_G_MEAN), Q).evaluate(
-        pts, alphas)
+    star = f_extension(normalize(pop_pair, P, Q, Normalization.ZERO_G_MEAN), Q)._evaluate(
+        pts, alphas, *tables)
     for table in star.values():
         table.flags.writeable = False
 
@@ -303,7 +307,7 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
         P_n = sample_empirical(P, n, stream)
         pair, _ = solve(P_n, Q, solver)
         pair = normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
-        lt = f_extension(pair, Q).evaluate(pts, alphas)
+        lt = f_extension(pair, Q)._evaluate(pts, alphas, *tables)
         terms = _order_terms({a: lt[a] - star[a] for a in lt}, alphas, s)
         return sum(terms) ** 2, terms[0] ** 2
 

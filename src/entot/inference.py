@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, OutOfRange
 from .measures import DiscreteMeasure
-from .sinkhorn import PotentialPair, SolverConfig, _check_pair_dims, _solved_cost
+from .sinkhorn import PotentialPair, SolverConfig, _check_pair_dims, _dot, _solved_cost
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -61,9 +61,8 @@ class DivergenceValue:
 
 
 def _weighted_variance(values, weights) -> float:
-    mean = float(values @ weights)
-    centered = values - mean
-    return max(0.0, float((centered * centered) @ weights))
+    centered = values - _dot(values, weights)
+    return max(0.0, _dot(centered * centered, weights))
 
 
 def variance_one_sample(P_n: DiscreteMeasure, pair: PotentialPair) -> VarianceEstimate:

@@ -9,8 +9,11 @@ that half-step is redone on log-scale quantities with max-shifted
 log-sum-exp, and the solve stays in the log domain from then on, with the
 cost rebuilt into the same array. Above the budget every half-step builds
 row slabs of the cost within it and runs in the log domain. The g step is
-the f step on the transposed operator. Every log-domain half-step, and the
-potential extension, is ``_soft_min``.
+the f step on the transposed operator. Every kernel half-step is
+``_kernel_soft_min`` and every log-domain one ``_soft_min``; the potential
+extension runs the same pair, on a kernel from ``_gibbs_kernel``. Weighted
+sums use ``einsum``, never BLAS, so no result depends on the BLAS thread
+count.
 
 :func:`solve` overrelaxes the alternating half-steps, with a factor set from
 the observed contraction rate (Young's SOR factor), and stops on a residual
@@ -146,6 +149,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(x: np.ndarray, w: np.ndarray) -> float:
+    """``sum_i x_i w_i`` by ``einsum``: BLAS ``x @ w`` changes its bits with the
+    BLAS thread count from about 10k entries up."""
+    return float(np.einsum("i,i->", x, w))
+
+
 def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float,
               out: np.ndarray) -> np.ndarray:
     """Soft c-transform ``-eps * log sum_j w_j exp((pot_j - C_ij)/eps)`` of each row.
@@ -158,6 +167,23 @@ def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float,
     np.divide(out, eps, out=out)
     np.add(out, log_w, out=out)
     return -eps * _logsumexp(out)
+
+
+def _kernel_soft_min(K: np.ndarray, pot: np.ndarray, log_w: np.ndarray, eps: float):
+    """:func:`_soft_min` of each row on the Gibbs kernel ``K = exp(-C/eps)``.
+
+    Returns ``(values, u, s)``: the scalings ``u = exp(log_w + pot/eps - top)``,
+    max-shifted by ``top = max(log_w + pot/eps)``, the row sums ``s = K u`` and
+    ``values = -eps * (log s + top)``; or ``None`` when a row sum is below
+    ``_KERNEL_FLOOR``, where the caller redoes the step in the log domain.
+    """
+    t = log_w + pot / eps
+    top = np.max(t)
+    u = np.exp(t - top)
+    s = np.einsum("ij,j->i", K, u)
+    if not np.min(s) >= _KERNEL_FLOOR:
+        return None
+    return -eps * (np.log(s) + top), u, s
 
 
 def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -182,6 +208,13 @@ def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) ->
             slab += tmp
         slab *= 0.5
     return C
+
+
+def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
+    """``exp(-C/eps)`` for the half squared cost between the rows of X and Y."""
+    K = half_sq_cost(X, Y)
+    np.divide(K, -eps, out=K)
+    return np.exp(K, out=K)
 
 
 class _Updates:
@@ -209,9 +242,7 @@ class _Updates:
         if P.n * Q.n > dense_entry_limit:
             self.path = "blocked"
             return
-        K = half_sq_cost(self.X, self.Y)
-        np.divide(K, -eps, out=K)
-        np.exp(K, out=K)
+        K = _gibbs_kernel(self.X, self.Y, eps)
         self._ops = (K, K.T)
         self.path = "kernel"
 
@@ -230,11 +261,9 @@ class _Updates:
             return out
         op = self._ops[side]
         if self.path == "kernel":
-            t = log_w + pot / eps
-            top = np.max(t)
-            s = np.einsum("ij,j->i", op, np.exp(t - top))
-            if np.min(s) >= _KERNEL_FLOOR:
-                return -eps * (np.log(s) + top)
+            step = _kernel_soft_min(op, pot, log_w, eps)
+            if step is not None:
+                return step[0]
             half_sq_cost(self.X, self.Y, out=self._ops[0])  # both views now read C
             work = np.empty_like(self._ops[0])
             self._works = (work, work.T)
@@ -264,8 +293,8 @@ def normalize(pair: PotentialPair, P: DiscreteMeasure, Q: DiscreteMeasure,
     unchanged.
     """
     _check_pair_dims(P, Q, pair)
-    f_mean = float(pair.f @ P.weights)
-    g_mean = float(pair.g @ Q.weights)
+    f_mean = _dot(pair.f, P.weights)
+    g_mean = _dot(pair.g, Q.weights)
     if convention is Normalization.EQUAL_MEANS:
         c = 0.5 * (g_mean - f_mean)
     elif convention is Normalization.ZERO_G_MEAN:
@@ -430,7 +459,7 @@ def _dual_value(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
     total mass is ``sum_i a_i exp((f_i - f_hat_i)/eps)``.
     """
     mass = float(np.exp(_logsumexp(log_a + (pair.f - f_hat) / pair.eps)))
-    return float(pair.f @ P.weights + pair.g @ Q.weights) - pair.eps * mass + pair.eps
+    return _dot(pair.f, P.weights) + _dot(pair.g, Q.weights) - pair.eps * mass + pair.eps
 
 
 def _require_optimal(residual: float, tol: float) -> None:
@@ -448,7 +477,7 @@ def cost(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
     ``10 * tol``; use the tolerance the pair was solved at.
     """
     _require_optimal(optimality_residual(P, Q, pair), tol)
-    return float(pair.f @ P.weights + pair.g @ Q.weights)
+    return _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
 
 
 def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
@@ -459,7 +488,7 @@ def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
     """
     pair, report = solve(P, Q, cfg)
     _require_optimal(report.optimality_residual, cfg.tol)
-    return pair, report, float(pair.f @ P.weights + pair.g @ Q.weights)
+    return pair, report, _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
 
 
 def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> TransportPlan:

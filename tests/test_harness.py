@@ -203,20 +203,24 @@ def test_run_experiment_dispatch():
     assert isinstance(res, hz.CoverageResult)
 
 
-def _tiny_rate(kind):
+def _tiny_rate(kind, d=1):
     return ExperimentConfig(
         kind=kind, scenario=ScenarioKind.DISCRETE_PAIR,
-        dims=(1,), eps_list=(1.0,), n_list=(10, 20), replicates=6,
+        dims=(d,), eps_list=(1.0,), n_list=(10, 20), replicates=6,
         alpha=0.05, seed=SUITE_SEED, solver=SolverConfig(eps=1.0),
     )
 
 
-@pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda k: k.value)
-def test_determinism_across_threads_and_runs(kind):
+# every kind at d=1; potential-rate also at d=2, where its grid has 41 x 41 points
+@pytest.mark.parametrize("kind, d", [
+    *(pytest.param(k, 1, id=k.value) for k in ExperimentKind),
+    pytest.param(ExperimentKind.POTENTIAL_RATE, 2, id="potential_rate-d2"),
+])
+def test_determinism_across_threads_and_runs(kind, d):
     if kind is ExperimentKind.COVERAGE:
         cfg = _tiny_coverage(replicates=12)
     else:
-        cfg = _tiny_rate(kind)
+        cfg = _tiny_rate(kind, d)
     r1 = hz.run_experiment(cfg, threads=1)
     r2 = hz.run_experiment(cfg, threads=3)
     r3 = hz.run_experiment(cfg, threads=1)
@@ -384,6 +388,32 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
             delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
             est = pot.holder_norm(delta, order, grid)
             assert stat(ms.SplitMix64(seed), n) == (est.value**2, est.order_terms[0] ** 2)
+
+
+def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
+    # the grid kernel and Q's monomials are built once per (d, eps) and read by
+    # every replicate thread; a replicate whose kernel rows underflow redoes
+    # its evaluation on its own cost and leaves them as they are
+    cfg = hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt")
+    built = []
+
+    def kernel_tables(*args):
+        built.append(pot._kernel_tables(*args))
+        return built[-1]
+
+    monkeypatch.setattr(hz, "_kernel_tables", kernel_tables)
+    stat = hz._potential_statistic(hz._scenario_for(cfg), 2, cfg.solver)
+    assert len(built) == 1
+    K, M = built[0]
+    assert K.shape == (41 * 41, 10) and M.shape == (10, 5)
+    assert not K.flags.writeable and not M.flags.writeable
+    before = K.copy(), M.copy()
+    kernel = stat(ms.SplitMix64(7), 50)
+    with monkeypatch.context() as m:
+        m.setattr(sk, "_KERNEL_FLOOR", np.inf)
+        log = stat(ms.SplitMix64(7), 50)
+    assert log == pytest.approx(kernel, rel=1e-12)
+    assert np.array_equal(K, before[0]) and np.array_equal(M, before[1])
 
 
 def test_divergence_rate_smoke():
