@@ -8,13 +8,17 @@ replicate index), so every cell is independently reproducible and results
 are byte-identical across thread counts.
 
 One replicate loop runs every kind. It walks the (d, eps, n) cells, builds
-the kind's per-replicate statistic once per (d, eps), and fans each cell's
-replicates out to a thread pool. A statistic maps (stream, n) to a tuple of
-values; a replicate whose solve did not converge is recorded as None. Two
-reductions turn the loop's output into results: coverage cells (hit rate
-and mean half-width) and rate curves (one curve per tuple position, with a
-log-log slope fit). A new experiment kind is one statistic plus one
-reduction.
+the kind's per-replicate statistic once per (d, eps), and fans a cell's
+replicates out to a thread pool of at most one worker per usable CPU, but
+only when one replicate's largest transport operator has at least
+``_POOL_MIN_ENTRIES`` entries. Smaller replicates are mostly GIL-held numpy
+calls on short vectors, so their cells run serially in the calling thread,
+where a second thread would only slow them down. A statistic maps (stream,
+n) to a tuple of values; a replicate whose solve did not converge is
+recorded as None. Two reductions turn the loop's output into results:
+coverage cells (hit rate and mean half-width) and rate curves (one curve per
+tuple position, with a log-log slope fit). A new experiment kind is one
+statistic plus one reduction.
 """
 
 from __future__ import annotations
@@ -51,6 +55,12 @@ from .sinkhorn import Normalization, SolverConfig, _solved_cost, normalize, solv
 _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draws
 
 _TRUTH_TOL = 1e-12  # population problems are solved well below replicate tol
+
+# A cell fans its replicates out to the pool only when one replicate's largest
+# transport operator has at least this many entries. Below it a second thread
+# slows the cell down: at d=2 on 2 cores, 20-replicate coverage cells break
+# even near n = 362 (n*n = 2**17) at eps 2 and 0.5.
+_POOL_MIN_ENTRIES = 1 << 17
 
 
 class ExperimentKind(enum.Enum):
@@ -161,14 +171,22 @@ class RateResult:
     populations: tuple = ()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def resolve_threads(requested: int | None = None) -> int:
-    """Thread count from an explicit value, EOT_THREADS, or the machine."""
+    """Thread count from an explicit value, EOT_THREADS, or the usable CPUs."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("EOT_THREADS")
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _tight_solver(cfg: ExperimentConfig, eps: float) -> SolverConfig:
@@ -398,12 +416,17 @@ def _rate_result(cfg, scenario, cells, labels) -> RateResult:
                       populations=scenario.populations())
 
 
-# kind -> (statistic, rate-curve labels; None reduces to coverage cells)
+# kind -> (statistic, rate-curve labels or None for coverage cells, entries of
+# one replicate's largest transport operator as a function of (scenario, d, n))
 _KINDS = {
-    ExperimentKind.COVERAGE: (_coverage_statistic, None),
-    ExperimentKind.BIAS_RATE: (_bias_statistic, ("bias",)),
-    ExperimentKind.POTENTIAL_RATE: (_potential_statistic, ("holder_sq", "sup_sq")),
-    ExperimentKind.DIVERGENCE_RATE: (_divergence_statistic, ("one_sample", "two_sample")),
+    ExperimentKind.COVERAGE: (_coverage_statistic, None, lambda sc, d, n: n * n),
+    ExperimentKind.BIAS_RATE: (
+        _bias_statistic, ("bias",), lambda sc, d, n: n * sc.pair(d)[1].n),
+    ExperimentKind.POTENTIAL_RATE: (
+        _potential_statistic, ("holder_sq", "sup_sq"), lambda sc, d, n: n * sc.pair(d)[1].n),
+    ExperimentKind.DIVERGENCE_RATE: (
+        _divergence_statistic, ("one_sample", "two_sample"),
+        lambda sc, d, n: n * max(n, sc.pair(d)[0].n)),
 }
 
 
@@ -425,15 +448,16 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int):
     """Every replicate of every cell, reduced to the result of ``kind``."""
     _check_kind(cfg, kind)
     scenario = _scenario_for(cfg)
-    statistic, labels = _KINDS[kind]
-    # at most one worker per replicate and four per core, whatever --threads asks
-    workers = min(threads, cfg.replicates, 4 * (os.cpu_count() or 1))
+    statistic, labels, operator_entries = _KINDS[kind]
+    # at most one worker per replicate and per usable CPU, whatever --threads asks
+    workers = min(threads, cfg.replicates, _usable_cpus())
     stats: dict = {}
     cells = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        fan_out = pool.map if pool is not None else map
         for index, (d, eps, n) in enumerate(
                 itertools.product(cfg.dims, cfg.eps_list, cfg.n_list)):
+            pooled = pool is not None and operator_entries(scenario, d, n) >= _POOL_MIN_ENTRIES
+            fan_out = pool.map if pooled else map
             if (d, eps) not in stats:
                 stats[d, eps] = statistic(scenario, d, replace(cfg.solver, eps=eps))
 

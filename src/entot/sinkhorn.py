@@ -177,13 +177,17 @@ def _kernel_soft_min(K: np.ndarray, pot: np.ndarray, log_w: np.ndarray, eps: flo
     ``values = -eps * (log s + top)``; or ``None`` when a row sum is below
     ``_KERNEL_FLOOR``, where the caller redoes the step in the log domain.
     """
-    t = log_w + pot / eps
-    top = np.max(t)
-    u = np.exp(t - top)
+    t = pot / eps
+    t += log_w
+    top = t.max()
+    u = np.exp(np.subtract(t, top, out=t), out=t)
     s = np.einsum("ij,j->i", K, u)
-    if not np.min(s) >= _KERNEL_FLOOR:
+    if not s.min() >= _KERNEL_FLOOR:
         return None
-    return -eps * (np.log(s) + top), u, s
+    v = np.log(s)
+    v += top
+    v *= -eps
+    return v, u, s
 
 
 def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -403,10 +407,10 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
         else:
             step = f_hat - f
             f = f + w * step
-            f_move = (w - 1.0) * float(np.max(np.abs(step)))
+            f_move = (w - 1.0) * float(np.abs(step).max())
         g_hat = upd.g_from(f)
         step = g_hat - g
-        moved = float(np.max(np.abs(step))) / cfg.eps
+        moved = float(np.abs(step).max()) / cfg.eps
         residual = moved + f_move / cfg.eps
         if residual <= cfg.tol:
             converged = True
@@ -506,19 +510,30 @@ def primal_cost(P: DiscreteMeasure, Q: DiscreteMeasure, transport: TransportPlan
                 eps: float) -> float:
     """Transport term plus eps times relative entropy to the product weights.
 
-    Zero entries contribute zero to the entropy term.
+    Zero entries contribute zero to the entropy term. Both terms accumulate
+    over row slabs of the plan, each against its own :func:`half_sq_cost`
+    slab, so memory is the plan plus one slab.
     """
     pi = transport.entries
     if pi.shape != (P.n, Q.n):
         raise DimensionMismatch(
             f"plan shaped {pi.shape} does not match supports ({P.n}, {Q.n})"
         )
-    if np.any(pi < 0):
-        raise NegativeEntry("transport plan has a negative entry")
-    C = half_sq_cost(P.points, Q.points)
-    transport_term = float(np.sum(pi * C))
-    ab = P.weights[:, None] * Q.weights[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_log = np.where(pi > 0, np.log(pi) - np.log(ab), 0.0)
-    entropy_term = float(np.sum(np.where(pi > 0, pi * ratio_log, 0.0)))
+    log_a, log_b = _log_weights(P.weights), _log_weights(Q.weights)
+    rows = max(1, _COST_SLAB_ENTRIES // max(Q.n, 1))
+    transport_term = entropy_term = 0.0
+    for start in range(0, P.n, rows):
+        k = slice(start, start + rows)
+        p = pi[k]
+        if (p < 0).any():
+            raise NegativeEntry("transport plan has a negative entry")
+        E = half_sq_cost(P.points[k], Q.points)
+        E *= p
+        transport_term += float(E.sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(p, out=E)
+            E -= log_a[k, None]
+            E -= log_b
+            E *= p
+        entropy_term += float(E.sum(where=p > 0))
     return transport_term + eps * entropy_term

@@ -1,7 +1,10 @@
-"""Shared helpers for the test suite: seeded instances and oracle closures."""
+"""Test-suite helpers: seeded instances, oracle closures and a forced harness pool."""
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from entot import harness as hz
 from entot import measures as ms
 
 SUITE_SEED = 20250808
@@ -55,3 +58,23 @@ def all_derivative_indices(d, max_order):
     ]
     out.sort(key=lambda a: (sum(a), a))
     return out
+
+
+def force_pool(monkeypatch, workers=3):
+    """Make the harness fan every cell out to a real pool of ``workers``
+    threads, whatever the cell size or the number of usable CPUs.
+
+    Returns the list of the pool's ``map`` calls, one worker count each, so a
+    test can check that its run really went through the pool.
+    """
+    calls = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def map(self, fn, *iterables, **kw):
+            calls.append(self._max_workers)
+            return super().map(fn, *iterables, **kw)
+
+    monkeypatch.setattr(hz, "_POOL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(hz, "ThreadPoolExecutor", CountingPool)
+    return calls

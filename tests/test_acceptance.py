@@ -20,7 +20,8 @@ from entot import sinkhorn as sk
 from entot.harness import EmitFormat, ExperimentConfig, ExperimentKind, ScenarioKind
 from entot.sinkhorn import Normalization, PotentialPair, SolverConfig
 
-from _util import SUITE_SEED, all_derivative_indices, longdouble_f_extension, random_instance
+from _util import (SUITE_SEED, all_derivative_indices, force_pool, longdouble_f_extension,
+                   random_instance)
 
 THREADS = hz.resolve_threads(None)
 
@@ -206,7 +207,7 @@ def test_criterion_9_derivative_correctness():
                 assert abs(exact - approx) <= 1e-5 * (1.0 + abs(exact)), (k, alpha)
 
 
-def test_criterion_10_property_suite():
+def test_criterion_10_property_suite(monkeypatch):
     with criterion(10, "divergence symmetry/nonnegativity/zero-on-equal, "
                        "variance and dual shift invariance, byte-identical "
                        "harness output across thread counts"):
@@ -239,6 +240,8 @@ def test_criterion_10_property_suite():
             alpha=0.05, seed=SUITE_SEED, solver=SolverConfig(eps=2.0, tol=1e-9),
         )
         serial = hz.run_coverage(harness_cfg, threads=1)
-        threaded = hz.run_coverage(harness_cfg, threads=max(2, THREADS))
+        pool_maps = force_pool(monkeypatch)  # n=40 is below the size gate
+        threaded = hz.run_coverage(harness_cfg, threads=3)
+        assert pool_maps == [3]
         for fmt in EmitFormat:
             assert hz.render(serial, fmt) == hz.render(threaded, fmt)

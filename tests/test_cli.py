@@ -10,6 +10,8 @@ from entot import measures as ms
 from entot import sinkhorn as sk
 from entot.sinkhorn import SolverConfig
 
+from _util import force_pool
+
 
 @pytest.fixture()
 def dirac_files(tmp_path):
@@ -161,15 +163,17 @@ def _write_coverage_config(path, seed=17):
     )
 
 
-def test_coverage_command_writes_deterministic_file(tmp_path, capsys):
+def test_coverage_command_writes_deterministic_file(monkeypatch, tmp_path, capsys):
     cfg_path = tmp_path / "cov.txt"
     _write_coverage_config(cfg_path)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert cli.run(["coverage", "--config", str(cfg_path), "--out", str(out1),
                     "--threads", "1"]) == 0
+    pool_maps = force_pool(monkeypatch)  # n=25 is below the size gate
     assert cli.run(["coverage", "--config", str(cfg_path), "--out", str(out2),
                     "--threads", "3"]) == 0
+    assert pool_maps == [3]
     stdout = capsys.readouterr().out
     assert "coverage" in stdout
     assert out1.read_bytes() == out2.read_bytes()

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from entot.errors import ConfigError
 from entot.harness import EmitFormat, ExperimentConfig, ExperimentKind, ScenarioKind
 from entot.sinkhorn import Normalization, SolverConfig
 
-from _util import SUITE_SEED
+from _util import SUITE_SEED, force_pool
 
 CONFIG_TEXT = """
 # smoke sweep
@@ -216,24 +217,32 @@ def _tiny_rate(kind, d=1):
     *(pytest.param(k, 1, id=k.value) for k in ExperimentKind),
     pytest.param(ExperimentKind.POTENTIAL_RATE, 2, id="potential_rate-d2"),
 ])
-def test_determinism_across_threads_and_runs(kind, d):
+def test_determinism_across_threads_and_runs(monkeypatch, kind, d):
     if kind is ExperimentKind.COVERAGE:
         cfg = _tiny_coverage(replicates=12)
     else:
         cfg = _tiny_rate(kind, d)
     r1 = hz.run_experiment(cfg, threads=1)
+    pool_maps = force_pool(monkeypatch)  # these cells are below the size gate
     r2 = hz.run_experiment(cfg, threads=3)
+    assert pool_maps == [3] * len(cfg.n_list)
     r3 = hz.run_experiment(cfg, threads=1)
     for fmt in EmitFormat:
         assert hz.render(r1, fmt) == hz.render(r2, fmt) == hz.render(r3, fmt)
 
 
-def test_fan_out_workers_are_capped(monkeypatch):
-    requested = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for ThreadPoolExecutor: maps in the calling thread and records
+    each pool's worker count (``requested``) and each map call's (``mapped``)."""
 
     class SerialPool:
+        requested: list = []
+        mapped: list = []
+
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            self.workers = max_workers
+            self.requested.append(max_workers)
 
         def __enter__(self):
             return self
@@ -242,17 +251,53 @@ def test_fan_out_workers_are_capped(monkeypatch):
             return False
 
         def map(self, fn, items):
+            self.mapped.append(self.workers)
             return map(fn, items)
 
     monkeypatch.setattr(hz, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(hz.os, "cpu_count", lambda: 1)
+    return SerialPool
+
+
+def test_fan_out_workers_are_capped(monkeypatch, serial_pool):
+    monkeypatch.setattr(hz, "_POOL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(hz.os, "sched_getaffinity", lambda pid: {0, 2, 5, 7, 9}, raising=False)
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: 64)  # the affinity set wins
     serial = hz.run_coverage(_tiny_coverage(replicates=12), threads=1)
-    assert requested == []  # one thread runs in the calling thread
+    assert serial_pool.requested == []  # one thread runs in the calling thread
     capped = hz.run_coverage(_tiny_coverage(replicates=12), threads=10**6)
-    assert requested == [4]  # 4 * cpu_count
+    assert serial_pool.requested == [5]  # usable CPUs
     hz.run_coverage(_tiny_coverage(replicates=3), threads=10**6)
-    assert requested == [4, 3]  # replicates
+    assert serial_pool.requested == [5, 3]  # replicates
     assert hz.render(capped, EmitFormat.PLOT_DATA) == hz.render(serial, EmitFormat.PLOT_DATA)
+
+
+# kind -> largest transport operator entries of its two cells, n = 10 and 20
+@pytest.mark.parametrize("kind, entries", [
+    (ExperimentKind.COVERAGE, (100, 400)),  # n*n
+    (ExperimentKind.BIAS_RATE, (100, 200)),  # n*|Q|, 10 atoms
+    (ExperimentKind.POTENTIAL_RATE, (100, 200)),
+    (ExperimentKind.DIVERGENCE_RATE, (100, 400)),
+], ids=["coverage", "bias_rate", "potential_rate", "divergence_rate"])
+def test_only_cells_at_or_above_the_gate_use_the_pool(monkeypatch, serial_pool, kind, entries):
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 2)
+    if kind is ExperimentKind.COVERAGE:
+        cfg = replace(_tiny_coverage(), n_list=(10, 20))
+    else:
+        cfg = _tiny_rate(kind)
+    small, large = entries
+    for gate, pooled in [(large + 1, 0), (large, 1), (small + 1, 1), (small, 2)]:
+        monkeypatch.setattr(hz, "_POOL_MIN_ENTRIES", gate)
+        serial_pool.mapped.clear()
+        hz.run_experiment(cfg, threads=2)
+        assert len(serial_pool.mapped) == pooled, gate
+
+
+def test_default_gate_pools_n_by_n_cells_from_n_363(monkeypatch, serial_pool):
+    # 362**2 < 2**17 <= 363**2
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 2)
+    cfg = replace(_tiny_coverage(replicates=2, seed=5), n_list=(362, 363))
+    hz.run_experiment(cfg, threads=2)
+    assert serial_pool.mapped == [2]
 
 
 def test_excluded_replicates_are_counted():
@@ -500,3 +545,10 @@ def test_resolve_threads(monkeypatch):
     assert hz.resolve_threads(None) == 5
     monkeypatch.delenv("EOT_THREADS")
     assert hz.resolve_threads(None) >= 1
+    monkeypatch.setattr(hz.os, "sched_getaffinity", lambda pid: {3, 4}, raising=False)
+    assert hz.resolve_threads(None) == 2  # the CPUs this process may use
+    monkeypatch.delattr(hz.os, "sched_getaffinity")
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: 6)
+    assert hz.resolve_threads(None) == 6  # no affinity call: every CPU
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: None)
+    assert hz.resolve_threads(None) == 1
