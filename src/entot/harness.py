@@ -50,7 +50,8 @@ from .measures import (
 from .oracle import GaussianPairSpec, gaussian_cost
 from .potentials import (GridSpec, HolderOrder, _kernel_tables, _order_terms, f_extension,
                          multi_indices)
-from .sinkhorn import Normalization, SolverConfig, _solved_cost, normalize, solve
+from .sinkhorn import (DENSE_ENTRY_LIMIT, Normalization, SolverConfig, _solved_cost,
+                       normalize, solve)
 
 _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draws
 
@@ -117,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError("seed must fit in 64 unsigned bits")
         if self.atoms < 1:
             raise ConfigError("atoms must be >= 1")
+        coords = max(max(self.n_list), self.atoms) * max(self.dims)
+        if coords > DENSE_ENTRY_LIMIT:
+            raise ConfigError(f"a sample of {coords} coordinates exceeds "
+                              f"DENSE_ENTRY_LIMIT = {DENSE_ENTRY_LIMIT}")
         if self.kind is not ExperimentKind.COVERAGE:
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly increasing for rate runs")

@@ -5,12 +5,12 @@ points. Below a configurable entry budget a solve holds one dense operator:
 the Gibbs kernel ``K = exp(-C/eps)``, on which a half-step is one
 matrix-vector product of max-shifted scalings. When a kernel row or column
 sum falls below ``_KERNEL_FLOOR`` (``K`` has underflowed where it matters),
-that half-step is redone on log-scale quantities with max-shifted
-log-sum-exp, and the solve stays in the log domain from then on, with the
-cost rebuilt into the same array. Above the budget every half-step builds
-row slabs of the cost within it and runs in the log domain. The g step is
-the f step on the transposed operator. Every kernel half-step is
-``_kernel_soft_min`` and every log-domain one ``_soft_min``; the potential
+the solve drops the kernel and runs that half-step, and every later one, as
+a blocked solve does. Above the budget every half-step builds row slabs of
+the cost within it and runs on log-scale quantities with max-shifted
+log-sum-exp. The g step is the f step on the transposed operator. Every
+kernel half-step is ``_kernel_soft_min`` and every log-domain one
+``_soft_min``, on the rows of one cost slab at a time; the potential
 extension runs the same pair, on a kernel from ``_gibbs_kernel``. Weighted
 sums use ``einsum``, never BLAS, so no result depends on the BLAS thread
 count.
@@ -115,23 +115,22 @@ class TransportPlan:
 class SolveReport:
     """What one :func:`solve` did.
 
-    ``optimality_residual`` is the two-sided residual of the returned pair,
-    as :func:`optimality_residual` defines it. ``path`` names the half-step
-    arithmetic: ``"kernel"``, ``"kernel+log"`` (a kernel sum underflowed and
-    the rest of the solve ran in the log domain) or ``"blocked"`` (cost
-    rebuilt in slabs, log domain). A report built without a path says
-    ``"log"``: every half-step in the log domain, as solves once ran.
-    ``relaxation`` is the overrelaxation factor of the last sweep (1 for a
-    plain sweep).
+    Only :func:`solve` builds reports. ``optimality_residual`` is the
+    two-sided residual of the returned pair, as :func:`optimality_residual`
+    defines it. ``path`` names the half-step arithmetic: ``"kernel"``,
+    ``"kernel+log"`` (a kernel sum underflowed and the rest of the solve ran
+    on cost slabs, log domain) or ``"blocked"`` (cost rebuilt in slabs, log
+    domain, from the first half-step). ``relaxation`` is the overrelaxation
+    factor of the last sweep (1 for a plain sweep).
     """
 
     iterations: int
     final_residual: float
     dual_value: float
     converged: bool
-    optimality_residual: float = math.inf
-    path: str = "log"
-    relaxation: float = 1.0
+    optimality_residual: float
+    path: str
+    relaxation: float
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -190,17 +189,17 @@ def _kernel_soft_min(K: np.ndarray, pot: np.ndarray, log_w: np.ndarray, eps: flo
     return v, u, s
 
 
-def half_sq_cost(X: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def half_sq_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Half squared Euclidean distances, accumulated per axis.
 
     Avoids BLAS so the summation order (and hence the bit pattern) does not
     depend on the thread count of the underlying library. Built in row slabs
     of about ``_COST_SLAB_ENTRIES`` entries, so the only temporary is one
-    slab. Writes into ``out`` (an n x m float64 array) when given.
+    slab.
     """
     n, m = X.shape[0], Y.shape[0]
     rows = max(1, _COST_SLAB_ENTRIES // max(m, 1))
-    C = np.empty((n, m)) if out is None else out
+    C = np.empty((n, m))
     diff = np.empty((min(n, rows), m))
     for start in range(0, n, rows):
         slab = C[start:start + rows]
@@ -224,55 +223,41 @@ def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
 class _Updates:
     """Half-step maps of the dual iteration.
 
-    A dense problem holds one n x m operator, the kernel ``exp(-C/eps)`` or,
-    once the log path is taken, the cost ``C`` plus an n x m workspace. A
-    blocked problem rebuilds cost slabs on every half-step. ``path`` is the
+    A dense problem holds one n x m operator, the kernel ``exp(-C/eps)``. A
+    blocked problem rebuilds cost slabs of at most ``dense_entry_limit``
+    entries on every half-step, and so does a dense one from its first kernel
+    sum below ``_KERNEL_FLOOR`` on, with the kernel dropped. ``path`` is the
     :class:`SolveReport` path so far.
     """
 
     def __init__(self, P: DiscreteMeasure, Q: DiscreteMeasure, eps: float,
                  dense_entry_limit: int = DENSE_ENTRY_LIMIT):
         if P.dim != Q.dim:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {P.dim} vs {Q.dim}"
-            )
-        self.X, self.Y = P.points, Q.points
-        self.log_a = _log_weights(P.weights)
-        self.log_b = _log_weights(Q.weights)
+            raise DimensionMismatch(f"ambient dimensions differ: {P.dim} vs {Q.dim}")
+        self.log_a, self.log_b = _log_weights(P.weights), _log_weights(Q.weights)
         self.eps = eps
         self._limit = dense_entry_limit
-        self._points = ((self.X, self.Y), (self.Y, self.X))
-        self._ops = self._works = None
-        if P.n * Q.n > dense_entry_limit:
-            self.path = "blocked"
-            return
-        K = _gibbs_kernel(self.X, self.Y, eps)
-        self._ops = (K, K.T)
-        self.path = "kernel"
+        self._points = ((P.points, Q.points), (Q.points, P.points))
+        self._ops, self.path = None, "blocked"
+        if P.n * Q.n <= dense_entry_limit:
+            K = _gibbs_kernel(P.points, Q.points, eps)
+            self._ops, self.path = (K, K.T), "kernel"
 
     def _half_step(self, pot: np.ndarray, log_w: np.ndarray, side: int) -> np.ndarray:
         """:func:`_soft_min` of ``pot`` along rows of the cost (side 0) or its transpose (1)."""
-        eps = self.eps
-        if self.path == "blocked":
-            # Row slabs of the cost; each slab is its own workspace.
-            rows, cols = self._points[side]
-            step = max(1, self._limit // cols.shape[0])
-            out = np.empty(rows.shape[0])
-            for start in range(0, rows.shape[0], step):
-                k = slice(start, start + step)
-                C = half_sq_cost(rows[k], cols)
-                out[k] = _soft_min(pot, log_w, C, eps, C)
-            return out
-        op = self._ops[side]
-        if self.path == "kernel":
-            step = _kernel_soft_min(op, pot, log_w, eps)
+        if self._ops is not None:
+            step = _kernel_soft_min(self._ops[side], pot, log_w, self.eps)
             if step is not None:
                 return step[0]
-            half_sq_cost(self.X, self.Y, out=self._ops[0])  # both views now read C
-            work = np.empty_like(self._ops[0])
-            self._works = (work, work.T)
-            self.path = "kernel+log"
-        return _soft_min(pot, log_w, op, eps, self._works[side])
+            self._ops, self.path = None, "kernel+log"  # blocked from here on
+        rows, cols = self._points[side]
+        step = max(1, self._limit // cols.shape[0])
+        out = np.empty(rows.shape[0])
+        for start in range(0, rows.shape[0], step):
+            k = slice(start, start + step)
+            C = half_sq_cost(rows[k], cols)
+            out[k] = _soft_min(pot, log_w, C, self.eps, C)
+        return out
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
         return self._half_step(g, self.log_b, 0)
@@ -496,8 +481,15 @@ def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
 
 
 def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> TransportPlan:
-    """Entropic coupling ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``."""
+    """Entropic coupling ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``.
+
+    The plan is a dense n x m array, so above ``DENSE_ENTRY_LIMIT`` entries
+    this raises :class:`ValueError` before allocating anything.
+    """
     _check_pair_dims(P, Q, pair)
+    if P.n * Q.n > DENSE_ENTRY_LIMIT:
+        raise ValueError(f"plan of {P.n} x {Q.n} = {P.n * Q.n} entries exceeds "
+                         f"DENSE_ENTRY_LIMIT = {DENSE_ENTRY_LIMIT}")
     E = half_sq_cost(P.points, Q.points)
     # row i is a_i exp((f_i - f_hat_i)/eps) times the f half-step's exponentials, normalised
     f_hat = _soft_min(pair.g, _log_weights(Q.weights), E, pair.eps, E)

@@ -273,6 +273,18 @@ def test_non_finite_config_eps_exits_four_before_any_solve(tmp_path, capsys, mon
         assert name in capsys.readouterr().err
 
 
+def test_oversized_config_sample_exits_four_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    cfg_path = tmp_path / "cov.txt"
+    cfg_path.write_text(
+        "kind = coverage\nscenario = gaussian\ndims = 2\neps_list = 2\n"
+        "n_list = 1000000000000\nreplicates = 6\nalpha = 0.05\nseed = 17\n",
+        encoding="utf-8",
+    )
+    assert cli.run(["coverage", "--config", str(cfg_path)]) == 4
+    assert "DENSE_ENTRY_LIMIT" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_four(tmp_path, capsys):
     cfg_path = tmp_path / "bad.txt"
     cfg_path.write_text("kind = coverage\nwat = 1\n", encoding="utf-8")

@@ -97,6 +97,18 @@ def test_experiment_config_validation():
                         "n_list": (10, 10)})
 
 
+def test_sample_coordinates_are_bounded_at_the_config():
+    text = CONFIG_TEXT.replace("dims = 2", "dims = 2, 15")
+    full = hz.parse_config(text.replace("n_list = 30, 60", "n_list = 30, 5000"))
+    assert full.n_list[-1] == 5000  # coverage_full.txt's largest sample
+    limit = sk.DENSE_ENTRY_LIMIT
+    for line in (f"n_list = 30, {limit // 15 + 1}", "n_list = 1000000000000"):
+        with pytest.raises(ConfigError, match="DENSE_ENTRY_LIMIT"):
+            hz.parse_config(text.replace("n_list = 30, 60", line))
+    with pytest.raises(ConfigError, match="coordinates"):
+        hz.parse_config(text + f"atoms = {limit // 15 + 1}\n")
+
+
 def test_derived_seed_deterministic():
     a = hz.derived_seed(5, 1, 2)
     assert a == hz.derived_seed(5, 1, 2)

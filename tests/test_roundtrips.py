@@ -14,7 +14,7 @@ from entot import harness as hz
 from entot import measures as ms
 from entot.errors import ConfigError
 from entot.harness import ExperimentConfig, ExperimentKind, ScenarioKind
-from entot.sinkhorn import SolverConfig
+from entot.sinkhorn import DENSE_ENTRY_LIMIT, SolverConfig
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -36,20 +36,24 @@ _CONVERTED_KEYS = ("kind", "scenario", "dims", "eps_list", "n_list", "replicates
 def _config_values(draw):
     """Key -> value of a valid config; optional keys may be absent."""
     kind = draw(st.sampled_from(ExperimentKind))
-    n_list = st.lists(_COUNT, min_size=1)
+    # A sample (n or atoms points in the largest dimension) fits the entry
+    # limit, the default of 10 atoms too.
+    dims = draw(st.lists(st.integers(1, DENSE_ENTRY_LIMIT // 10), min_size=1))
+    size = st.integers(1, DENSE_ENTRY_LIMIT // max(dims))
+    n_list = st.lists(size, min_size=1)
     if kind is not ExperimentKind.COVERAGE:  # rate runs need increasing n
-        n_list = st.lists(_COUNT, min_size=1, unique=True).map(sorted)
+        n_list = st.lists(size, min_size=1, unique=True).map(sorted)
     values = {
         "kind": kind,
         "scenario": draw(st.sampled_from(ScenarioKind)),
-        "dims": draw(st.lists(_COUNT, min_size=1)),
+        "dims": dims,
         "eps_list": draw(st.lists(_POSITIVE, min_size=1)),
         "n_list": draw(n_list),
         "replicates": draw(_COUNT),
         "alpha": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         "seed": draw(st.integers(0, 2**64 - 1)),
     }
-    for key, strategy in (("tol", _POSITIVE), ("max_iter", _COUNT), ("atoms", _COUNT),
+    for key, strategy in (("tol", _POSITIVE), ("max_iter", _COUNT), ("atoms", size),
                           ("p_file", _FILE_NAME), ("q_file", _FILE_NAME)):
         if draw(st.booleans()):
             values[key] = draw(strategy)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -289,12 +292,6 @@ def test_solver_config_validation():
             PotentialPair(np.zeros(1), np.zeros(1), bad)
 
 
-def test_solve_report_defaults_keep_positional_construction():
-    report = sk.SolveReport(3, 1e-10, 0.5, True)
-    assert report.path == "log" and report.optimality_residual == np.inf
-    assert report.relaxation == 1.0
-
-
 @pytest.mark.parametrize("n", [1, 64, 65, 130])
 def test_half_sq_cost_slabs_match_per_axis_sum(n):
     # 512 columns make 64-row slabs: row counts below, at, just above and at
@@ -309,8 +306,6 @@ def test_half_sq_cost_slabs_match_per_axis_sum(n):
         want += (X[:, k, None] - Y[None, :, k]) ** 2
     want *= 0.5
     assert sk.half_sq_cost(X, Y).tobytes() == want.tobytes()
-    out = np.full((n, 512), np.nan)
-    assert sk.half_sq_cost(X, Y, out=out) is out and out.tobytes() == want.tobytes()
     assert sk.half_sq_cost(Y, X).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
@@ -433,6 +428,36 @@ def test_kernel_underflow_falls_back_to_log_domain(case, monkeypatch):
     assert np.max(np.abs(pair.g - pair_l.g)) <= 1e-12
 
 
+def test_kernel_underflow_drops_the_kernel():
+    # The fallback holds no n x m array beyond the one cost slab it rebuilds
+    # per half-step (and the kernel before it drops it): the peak stays well
+    # below the kernel plus a second n x m array.
+    stream = ms.SeedSpec(SUITE_SEED, 62).stream()
+    n = 400
+    P = ms.uniform_on(stream.uniforms(2 * n).reshape(n, 2))
+    Q = ms.uniform_on(stream.uniforms(2 * n).reshape(n, 2))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sk, "_KERNEL_FLOOR", np.inf)
+        tracemalloc.start()
+        try:
+            _, report = sk.solve(P, Q, SolverConfig(eps=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert report.path == "kernel+log"
+    assert peak < 1.5 * n * n * 8
+
+
+def test_plan_refuses_more_entries_than_the_dense_limit(monkeypatch):
+    P, Q, pair, _ = _dirac_pair()
+    P2 = ms.uniform_on(np.array([[0.0], [1.0]]))
+    pair2 = PotentialPair(np.zeros(2), pair.g, pair.eps)
+    monkeypatch.setattr(sk, "DENSE_ENTRY_LIMIT", 1)
+    assert sk.plan(P, Q, pair).entries.shape == (1, 1)
+    with pytest.raises(ValueError, match="2 entries"):
+        sk.plan(P2, Q, pair2)
+
+
 def test_report_residual_and_dual_match_public_checks():
     stream = ms.SeedSpec(SUITE_SEED, 33).stream()
     for d, eps in [(1, 0.5), (2, 1.0), (3, 2.0)]:
@@ -447,8 +472,7 @@ def test_report_residual_and_dual_match_public_checks():
 
 def test_solved_cost_applies_the_cost_gate(monkeypatch):
     P, Q, pair, report = _dirac_pair()
-    stale = sk.SolveReport(report.iterations, report.final_residual, report.dual_value,
-                           True, optimality_residual=1e-6, path=report.path)
+    stale = dataclasses.replace(report, converged=True, optimality_residual=1e-6)
     monkeypatch.setattr(sk, "solve", lambda *args: (pair, stale))
     with pytest.raises(NotOptimal):
         sk._solved_cost(P, Q, SolverConfig(eps=1.0, tol=1e-9))

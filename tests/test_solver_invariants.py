@@ -2,8 +2,11 @@
 
 Small problems run on the Gibbs kernel by default; the log path is forced by
 setting ``_KERNEL_FLOOR`` to infinity, and the blocked path by a
-``dense_entry_limit`` below the number of cost entries. One test reaches the
-log path without forcing, through a kernel that underflows at small eps.
+``dense_entry_limit`` below the number of cost entries. On the log path the
+solve drops the kernel at its first half-step and runs the blocked path's
+slab loop with one slab per half-step, so the two log-domain paths differ
+only in slab height. One test reaches the log path without forcing, through
+a kernel that underflows at small eps.
 """
 
 import contextlib
