@@ -26,7 +26,6 @@ from .harness import (
     ExperimentKind,
     emit,
     load_config,
-    resolve_threads,
     run_experiment,
 )
 from .inference import ci_two_sample, sinkhorn_divergence
@@ -97,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         p_exp.add_argument("--out", default=None, help="emit results to this file")
         p_exp.add_argument("--format", choices=["csv", "plot"], default="csv")
         p_exp.add_argument("--threads", type=int, default=None,
-                           help="replicate parallelism (default: machine; 1 = serial)")
+                           help="most replicate threads (default: usable CPUs; "
+                                "1 = serial; below 1 exits 2)")
         p_exp.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
     return parser
@@ -173,8 +173,7 @@ def _cmd_experiment(args) -> int:
     if expect_coverage != is_coverage:
         wanted = "coverage" if expect_coverage else "a rate kind"
         raise ConfigError(f"config kind is {cfg.kind.value}, expected {wanted}")
-    threads = resolve_threads(args.threads)
-    result = run_experiment(cfg, threads=threads)
+    result = run_experiment(cfg, threads=args.threads)
     if is_coverage:
         print("d  eps  n  coverage  mean_half_width  evaluated  excluded")
         for c in result.cells:

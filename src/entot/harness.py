@@ -125,6 +125,10 @@ class ExperimentConfig:
         if self.kind is not ExperimentKind.COVERAGE:
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly increasing for rate runs")
+        if (self.p_file is None) != (self.q_file is None):
+            raise ConfigError("p_file and q_file must be given together")
+        if self.p_file is not None and self.scenario is not ScenarioKind.DISCRETE_PAIR:
+            raise ConfigError("p_file and q_file need the discrete scenario")
 
 
 @dataclass(frozen=True)
@@ -184,16 +188,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_threads(requested: int | None = None) -> int:
-    """Thread count from an explicit value, EOT_THREADS, or the usable CPUs."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("EOT_THREADS")
-    if env:
-        return max(1, int(env))
-    return _usable_cpus()
-
-
 def _tight_solver(cfg: ExperimentConfig, eps: float) -> SolverConfig:
     """Solver for population problems, which stand in for exact truths."""
     return SolverConfig(eps=eps, tol=_TRUTH_TOL,
@@ -230,9 +224,7 @@ class _DiscreteScenario:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._pairs: dict[int, tuple[DiscreteMeasure, DiscreteMeasure]] = {}
-        if cfg.p_file is not None or cfg.q_file is not None:
-            if cfg.p_file is None or cfg.q_file is None:
-                raise ConfigError("p_file and q_file must be given together")
+        if cfg.p_file is not None:
             P = load_measure(cfg.p_file)
             Q = load_measure(cfg.q_file)
             if P.dim != Q.dim:
@@ -449,13 +441,20 @@ def _check_kind(cfg: ExperimentConfig, kind: ExperimentKind) -> None:
         raise ConfigError(f"{what} runs require eps = 1")
 
 
-def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int):
-    """Every replicate of every cell, reduced to the result of ``kind``."""
+def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
+    """Every replicate of every cell, reduced to the result of ``kind``.
+
+    ``threads`` bounds the pool's workers; None means the usable CPUs, and a
+    value below 1 raises :class:`ValueError` before anything runs.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     _check_kind(cfg, kind)
     scenario = _scenario_for(cfg)
     statistic, labels, operator_entries = _KINDS[kind]
-    # at most one worker per replicate and per usable CPU, whatever --threads asks
-    workers = min(threads, cfg.replicates, _usable_cpus())
+    # at most one worker per replicate and per usable CPU, whatever threads asks
+    cpus = _usable_cpus()
+    workers = min(cpus if threads is None else threads, cfg.replicates, cpus)
     stats: dict = {}
     cells = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
@@ -478,20 +477,20 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int):
     return _rate_result(cfg, scenario, cells, labels)
 
 
-def run_coverage(cfg: ExperimentConfig, threads: int = 1) -> CoverageResult:
+def run_coverage(cfg: ExperimentConfig, threads: int | None = None) -> CoverageResult:
     """Per cell: draw n-and-n samples, build the two-sample interval, and
     count how often it contains the population cost. Non-converged
     replicates are excluded and counted, never silently dropped."""
     return _run(cfg, ExperimentKind.COVERAGE, threads)
 
 
-def run_bias_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
+def run_bias_rate(cfg: ExperimentConfig, threads: int | None = None) -> RateResult:
     """Mean of (empirical cost - population cost) per sample size, with a
     log-log slope fit of the absolute mean bias."""
     return _run(cfg, ExperimentKind.BIAS_RATE, threads)
 
 
-def run_potential_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
+def run_potential_rate(cfg: ExperimentConfig, threads: int | None = None) -> RateResult:
     """Mean squared grid norm of (empirical minus population) f potentials.
 
     Fits the slope of the squared derivative-sum norm and, as a
@@ -500,12 +499,12 @@ def run_potential_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
     return _run(cfg, ExperimentKind.POTENTIAL_RATE, threads)
 
 
-def run_divergence_rate(cfg: ExperimentConfig, threads: int = 1) -> RateResult:
+def run_divergence_rate(cfg: ExperimentConfig, threads: int | None = None) -> RateResult:
     """Mean one-sample and two-sample divergences per sample size."""
     return _run(cfg, ExperimentKind.DIVERGENCE_RATE, threads)
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1):
+def run_experiment(cfg: ExperimentConfig, threads: int | None = None):
     return _run(cfg, cfg.kind, threads)
 
 
@@ -551,13 +550,14 @@ _REQUIRED_KEYS = tuple(f.name for f in fields(ExperimentConfig)
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the line-oriented ``key = value`` experiment description.
 
-    Blank lines and ``#`` comments are skipped; list values are comma
-    separated; unknown or duplicate keys are rejected.
+    ``#`` starts a comment that runs to the end of its line, so no value, a
+    ``p_file`` path included, can contain ``#``. Blank lines are skipped;
+    list values are comma separated; unknown or duplicate keys are rejected.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")

@@ -158,7 +158,7 @@ class ExtendedPotential:
             raw = np.einsum("ij,jb->bi", K, M * u[:, None])
         else:
             E = half_sq_cost(pts, self.opposite.points)
-            ext = _soft_min(values, log_w, E, eps, E)
+            ext = _soft_min(values, log_w, E, eps)
             s = np.sum(E, axis=1)
             raw = np.einsum("ij,jb->bi", E, M)
         raw /= s

@@ -154,18 +154,17 @@ def _dot(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, w))
 
 
-def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float,
-              out: np.ndarray) -> np.ndarray:
+def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float) -> np.ndarray:
     """Soft c-transform ``-eps * log sum_j w_j exp((pot_j - C_ij)/eps)`` of each row.
 
     ``pot`` and ``log_w`` index the columns of ``C`` (pass ``C.T`` to reduce
-    along columns). Works in place in ``out`` (which may be ``C``) and leaves
-    there the max-shifted exponentials.
+    along columns). Works in place: ``C`` is overwritten with the max-shifted
+    exponentials.
     """
-    np.subtract(pot, C, out=out)
-    np.divide(out, eps, out=out)
-    np.add(out, log_w, out=out)
-    return -eps * _logsumexp(out)
+    np.subtract(pot, C, out=C)
+    np.divide(C, eps, out=C)
+    np.add(C, log_w, out=C)
+    return -eps * _logsumexp(C)
 
 
 def _kernel_soft_min(K: np.ndarray, pot: np.ndarray, log_w: np.ndarray, eps: float):
@@ -256,7 +255,7 @@ class _Updates:
         for start in range(0, rows.shape[0], step):
             k = slice(start, start + step)
             C = half_sq_cost(rows[k], cols)
-            out[k] = _soft_min(pot, log_w, C, self.eps, C)
+            out[k] = _soft_min(pot, log_w, C, self.eps)
         return out
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
@@ -492,7 +491,7 @@ def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> Transpo
                          f"DENSE_ENTRY_LIMIT = {DENSE_ENTRY_LIMIT}")
     E = half_sq_cost(P.points, Q.points)
     # row i is a_i exp((f_i - f_hat_i)/eps) times the f half-step's exponentials, normalised
-    f_hat = _soft_min(pair.g, _log_weights(Q.weights), E, pair.eps, E)
+    f_hat = _soft_min(pair.g, _log_weights(Q.weights), E, pair.eps)
     E /= E.sum(axis=1, keepdims=True)
     E *= np.exp(_log_weights(P.weights) + (pair.f - f_hat) / pair.eps)[:, None]
     return TransportPlan(E)

@@ -23,8 +23,6 @@ from entot.sinkhorn import Normalization, PotentialPair, SolverConfig
 from _util import (SUITE_SEED, all_derivative_indices, force_pool, longdouble_f_extension,
                    random_instance)
 
-THREADS = hz.resolve_threads(None)
-
 
 @contextmanager
 def criterion(number, description):
@@ -97,7 +95,7 @@ def test_criterion_4_coverage_cells():
             replicates=300, alpha=0.05, seed=SUITE_SEED,
             solver=SolverConfig(eps=2.0, tol=1e-9),
         )
-        result = hz.run_coverage(cfg, threads=THREADS)
+        result = hz.run_coverage(cfg)
         assert len(result.cells) == 4
         for cell in result.cells:
             # reference full-scale proportions for these cells are
@@ -125,7 +123,7 @@ def test_criterion_5_bias_rate():
             replicates=200, alpha=0.05, seed=SUITE_SEED,
             solver=SolverConfig(eps=1.0, tol=1e-9),
         )
-        result = hz.run_bias_rate(cfg, threads=THREADS)
+        result = hz.run_bias_rate(cfg)
         curve = result.curves[0]
         assert -1.35 <= curve.slope <= -0.65, curve.slope
         for point in curve.points:
@@ -141,7 +139,7 @@ def test_criterion_6_potential_rate():
             replicates=200, alpha=0.05, seed=SUITE_SEED,
             solver=SolverConfig(eps=1.0, tol=1e-9),
         )
-        result = hz.run_potential_rate(cfg, threads=THREADS)
+        result = hz.run_potential_rate(cfg)
         by_label = {c.label: c for c in result.curves}
         assert pot.HolderOrder.for_dimension(2).s == 2
         assert -1.4 <= by_label["holder_sq"].slope <= -0.6, by_label["holder_sq"].slope
@@ -160,7 +158,7 @@ def test_criterion_7_divergence_rate():
             replicates=100, alpha=0.05, seed=SUITE_SEED,
             solver=SolverConfig(eps=1.0, tol=1e-9),
         )
-        result = hz.run_divergence_rate(cfg, threads=THREADS)
+        result = hz.run_divergence_rate(cfg)
         by_label = {c.label: c for c in result.curves}
         one, two = by_label["one_sample"], by_label["two_sample"]
         assert -1.35 <= one.slope <= -0.65, one.slope

@@ -285,6 +285,27 @@ def test_oversized_config_sample_exits_four_before_any_solve(tmp_path, capsys, m
     assert "DENSE_ENTRY_LIMIT" in capsys.readouterr().err
 
 
+def test_measure_file_without_discrete_scenario_exits_four_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    cfg_path = tmp_path / "cov.txt"
+    _write_coverage_config(cfg_path)
+    with cfg_path.open("a", encoding="utf-8") as fh:
+        fh.write(f"p_file = {tmp_path / 'missing.csv'}\n")
+    assert cli.run(["coverage", "--config", str(cfg_path)]) == 4
+    assert "p_file" in capsys.readouterr().err
+
+
+def test_thread_counts_below_one_exit_two_before_any_solve(tmp_path, capsys, monkeypatch):
+    from entot import harness as hz
+    monkeypatch.setattr(hz, "_scenario_for", lambda cfg: pytest.fail("ran"))
+    cfg_path = tmp_path / "cov.txt"
+    _write_coverage_config(cfg_path)
+    for threads in ("0", "-1"):
+        assert cli.run(["coverage", "--config", str(cfg_path), "--threads", threads]) == 2
+        assert "threads" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_four(tmp_path, capsys):
     cfg_path = tmp_path / "bad.txt"
     cfg_path.write_text("kind = coverage\nwat = 1\n", encoding="utf-8")

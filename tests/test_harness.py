@@ -73,6 +73,27 @@ def test_parse_config_defaults_and_errors():
             hz.parse_config(minimal + line + "\n")
 
 
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Experiment configs", 1)[1].split("```")[1]
+    cfg = hz.parse_config(block)  # inline comments included
+    assert cfg.kind is ExperimentKind.COVERAGE
+    assert cfg.scenario is ScenarioKind.GAUSSIAN_PAIR
+    assert cfg.eps_list == (2.0, 5.0) and cfg.n_list == (100, 250)
+    assert cfg.solver.tol == 1e-9 and cfg.solver.max_iter == 100_000 and cfg.atoms == 10
+
+
+def test_measure_files_come_together_and_only_with_the_discrete_scenario():
+    discrete = CONFIG_TEXT.replace("gaussian", "discrete")
+    for text, match in ((CONFIG_TEXT + "p_file = p.csv\nq_file = q.csv\n", "discrete"),
+                        (discrete + "p_file = p.csv\n", "together"),
+                        (discrete + "q_file = q.csv\n", "together")):
+        with pytest.raises(ConfigError, match=match):
+            hz.parse_config(text)
+    cfg = hz.parse_config(discrete + "p_file = p.csv  # fixed populations\nq_file = q.csv\n")
+    assert (cfg.p_file, cfg.q_file) == ("p.csv", "q.csv")
+
+
 def test_experiment_config_validation():
     base = dict(
         kind=ExperimentKind.BIAS_RATE, scenario=ScenarioKind.DISCRETE_PAIR,
@@ -281,6 +302,22 @@ def test_fan_out_workers_are_capped(monkeypatch, serial_pool):
     hz.run_coverage(_tiny_coverage(replicates=3), threads=10**6)
     assert serial_pool.requested == [5, 3]  # replicates
     assert hz.render(capped, EmitFormat.PLOT_DATA) == hz.render(serial, EmitFormat.PLOT_DATA)
+    # no thread count: one worker per usable CPU, counted from the affinity set,
+    # else every CPU where the OS has no affinity call, else one
+    hz.run_coverage(_tiny_coverage(replicates=12))
+    monkeypatch.delattr(hz.os, "sched_getaffinity")
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: 6)
+    hz.run_coverage(_tiny_coverage(replicates=12))
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: None)
+    hz.run_coverage(_tiny_coverage(replicates=12))
+    assert serial_pool.requested == [5, 3, 5, 6]  # the last run is serial
+
+
+def test_thread_counts_below_one_are_refused_before_any_run(monkeypatch):
+    monkeypatch.setattr(hz, "_scenario_for", lambda cfg: pytest.fail("ran"))
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            hz.run_coverage(_tiny_coverage(), threads=threads)
 
 
 # kind -> largest transport operator entries of its two cells, n = 10 and 20
@@ -549,18 +586,3 @@ def test_fit_loglog_recovers_power_law():
     assert se == pytest.approx(0.0, abs=1e-10)
     assert intercept == pytest.approx(np.log(100.0), abs=1e-12)
 
-
-def test_resolve_threads(monkeypatch):
-    assert hz.resolve_threads(3) == 3
-    assert hz.resolve_threads(0) == 1
-    monkeypatch.setenv("EOT_THREADS", "5")
-    assert hz.resolve_threads(None) == 5
-    monkeypatch.delenv("EOT_THREADS")
-    assert hz.resolve_threads(None) >= 1
-    monkeypatch.setattr(hz.os, "sched_getaffinity", lambda pid: {3, 4}, raising=False)
-    assert hz.resolve_threads(None) == 2  # the CPUs this process may use
-    monkeypatch.delattr(hz.os, "sched_getaffinity")
-    monkeypatch.setattr(hz.os, "cpu_count", lambda: 6)
-    assert hz.resolve_threads(None) == 6  # no affinity call: every CPU
-    monkeypatch.setattr(hz.os, "cpu_count", lambda: None)
-    assert hz.resolve_threads(None) == 1

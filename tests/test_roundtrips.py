@@ -43,9 +43,10 @@ def _config_values(draw):
     n_list = st.lists(size, min_size=1)
     if kind is not ExperimentKind.COVERAGE:  # rate runs need increasing n
         n_list = st.lists(size, min_size=1, unique=True).map(sorted)
+    scenario = draw(st.sampled_from(ScenarioKind))
     values = {
         "kind": kind,
-        "scenario": draw(st.sampled_from(ScenarioKind)),
+        "scenario": scenario,
         "dims": dims,
         "eps_list": draw(st.lists(_POSITIVE, min_size=1)),
         "n_list": draw(n_list),
@@ -53,10 +54,12 @@ def _config_values(draw):
         "alpha": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         "seed": draw(st.integers(0, 2**64 - 1)),
     }
-    for key, strategy in (("tol", _POSITIVE), ("max_iter", _COUNT), ("atoms", size),
-                          ("p_file", _FILE_NAME), ("q_file", _FILE_NAME)):
+    for key, strategy in (("tol", _POSITIVE), ("max_iter", _COUNT), ("atoms", size)):
         if draw(st.booleans()):
             values[key] = draw(strategy)
+    # measure files come together, and only with the discrete scenario
+    if scenario is ScenarioKind.DISCRETE_PAIR and draw(st.booleans()):
+        values["p_file"], values["q_file"] = draw(_FILE_NAME), draw(_FILE_NAME)
     return values
 
 

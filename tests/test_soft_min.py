@@ -55,7 +55,7 @@ def test_soft_min_matches_scipy_logsumexp(case):
                                         b=np.broadcast_to(w.reshape(shape), C.shape))
         out = C.copy()
         view = out if axis == 1 else out.T  # columns reduce as rows of the transpose
-        got = sk._soft_min(pot, sk._log_weights(w), view, eps, view)
+        got = sk._soft_min(pot, sk._log_weights(w), view, eps)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
         # what is left in ``out`` normalises to the conditional weights
         weights = out / out.sum(axis=axis, keepdims=True)
@@ -79,8 +79,10 @@ def _solve_case(draw):
 @hypothesis.given(_solve_case())
 def test_blocked_solve_matches_dense_log_solve(case):
     P, Q, eps = case
-    # A few times the most sweeps any of 1000 drawn cases needed (122), so a
-    # regression fails fast instead of shrinking through 100k-sweep solves.
+    # A budget so a regression fails fast instead of shrinking through
+    # 100k-sweep solves; the 20 fixed examples need at most 43 sweeps. It does
+    # not bound the strategy: of 3000 cases drawn from it (hypothesis' generate
+    # phase, seeds 0-2), one needed 2827 sweeps and the others at most 256.
     cfg = SolverConfig(eps=eps, tol=1e-11, max_iter=1_000)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sk, "_KERNEL_FLOOR", np.inf)
