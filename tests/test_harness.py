@@ -302,15 +302,23 @@ def test_fan_out_workers_are_capped(monkeypatch, serial_pool):
     hz.run_coverage(_tiny_coverage(replicates=3), threads=10**6)
     assert serial_pool.requested == [5, 3]  # replicates
     assert hz.render(capped, EmitFormat.PLOT_DATA) == hz.render(serial, EmitFormat.PLOT_DATA)
-    # no thread count: one worker per usable CPU, counted from the affinity set,
-    # else every CPU where the OS has no affinity call, else one
+
+
+def test_no_thread_count_means_the_usable_cpus(monkeypatch, serial_pool):
+    # one worker per usable CPU, counted from the affinity set, else every CPU
+    # where the OS has no affinity call, else one
+    monkeypatch.setattr(hz, "_POOL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(hz.os, "sched_getaffinity", lambda pid: {3, 4}, raising=False)
+    monkeypatch.setattr(hz.os, "cpu_count", lambda: 64)  # the affinity set wins
     hz.run_coverage(_tiny_coverage(replicates=12))
+    assert serial_pool.requested == [2]
     monkeypatch.delattr(hz.os, "sched_getaffinity")
     monkeypatch.setattr(hz.os, "cpu_count", lambda: 6)
     hz.run_coverage(_tiny_coverage(replicates=12))
+    assert serial_pool.requested == [2, 6]
     monkeypatch.setattr(hz.os, "cpu_count", lambda: None)
     hz.run_coverage(_tiny_coverage(replicates=12))
-    assert serial_pool.requested == [5, 3, 5, 6]  # the last run is serial
+    assert serial_pool.requested == [2, 6]  # one worker: a serial run
 
 
 def test_thread_counts_below_one_are_refused_before_any_run(monkeypatch):
