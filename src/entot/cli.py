@@ -29,7 +29,7 @@ from .harness import (
     run_experiment,
 )
 from .inference import ci_two_sample, sinkhorn_divergence
-from .measures import fmt17, load_measure
+from .measures import _MASK64, fmt17, load_measure
 from .sinkhorn import SolverConfig, _solved_cost
 
 
@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="most replicate threads (default: usable CPUs; "
                                 "1 = serial; below 1 exits 2)")
         p_exp.add_argument("--seed", type=int, default=None,
-                           help="override the config seed")
+                           help="override the config seed (0 to 2**64 - 1; "
+                                "otherwise exits 2)")
     return parser
 
 
@@ -165,6 +166,8 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.seed is not None and not 0 <= args.seed <= _MASK64:
+        raise ValueError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

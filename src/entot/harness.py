@@ -8,17 +8,23 @@ replicate index), so every cell is independently reproducible and results
 are byte-identical across thread counts.
 
 One replicate loop runs every kind. It walks the (d, eps, n) cells, builds
-the kind's per-replicate statistic once per (d, eps), and fans a cell's
-replicates out to a thread pool of at most one worker per usable CPU, but
-only when one replicate's largest transport operator has at least
-``_POOL_MIN_ENTRIES`` entries. Smaller replicates are mostly GIL-held numpy
-calls on short vectors, so their cells run serially in the calling thread,
-where a second thread would only slow them down. A statistic maps (stream,
-n) to a tuple of values; a replicate whose solve did not converge is
-recorded as None. Two reductions turn the loop's output into results:
-coverage cells (hit rate and mean half-width) and rate curves (one curve per
-tuple position, with a log-log slope fit). A new experiment kind is one
-statistic plus one reduction.
+the kind's statistic once per (d, eps), and hands a cell's replicates to it
+in chunks, in replicate order. A statistic maps a chunk (one stream per
+replicate, and n) to one tuple of values per replicate, None for a replicate
+whose solve did not converge. It solves the chunk's transport problems as
+one stack (``sinkhorn._solve_stack``), so small problems share each
+half-step's numpy calls, and each replicate's values are those of a lone run
+bit for bit. A chunk holds as many replicates as fit ``_CHUNK_ENTRIES``
+entries of per-replicate working set, counted from entry counts alone. A
+cell whose replicates' largest transport operator has at least
+``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out to a
+thread pool of at most one worker per usable CPU; smaller replicates are
+mostly GIL-held numpy calls on short vectors, so their cells run in the
+calling thread, where a second thread would only slow them down. No chunk
+size or thread count changes an output byte. Two reductions turn the loop's
+output into results: coverage cells (hit rate and mean half-width) and rate
+curves (one curve per tuple position, with a log-log slope fit). A new
+experiment kind is one statistic plus one reduction.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NotConverged
-from .inference import ci_two_sample
+from .inference import _ci_two_sample_stack
 from .measures import (
     _MASK64,
     CompactDomain,
@@ -48,20 +54,30 @@ from .measures import (
     sample_gaussian,
 )
 from .oracle import GaussianPairSpec, gaussian_cost
-from .potentials import (GridSpec, HolderOrder, _kernel_tables, _order_terms, f_extension,
-                         multi_indices)
-from .sinkhorn import (DENSE_ENTRY_LIMIT, Normalization, SolverConfig, _solved_cost,
-                       normalize, solve)
+from .potentials import (GridSpec, HolderOrder, _extensions, _kernel_tables, _order_terms,
+                         f_extension, multi_indices)
+from .sinkhorn import (DENSE_ENTRY_LIMIT, Normalization, SolverConfig, _shift, _solve_stack,
+                       _solved_cost, _solved_costs, normalize, solve)
 
 _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draws
 
 _TRUTH_TOL = 1e-12  # population problems are solved well below replicate tol
 
-# A cell fans its replicates out to the pool only when one replicate's largest
-# transport operator has at least this many entries. Below it a second thread
-# slows the cell down: at d=2 on 2 cores, 20-replicate coverage cells break
-# even near n = 362 (n*n = 2**17) at eps 2 and 0.5.
+# A cell fans its replicates out to the pool, as chunks of one, only when one
+# replicate's largest transport operator has at least this many entries.
+# Below it a second thread slows the cell down: at d=2 on 2 cores,
+# 20-replicate coverage cells break even near n = 362 (n*n = 2**17) at eps 2
+# and 0.5.
 _POOL_MIN_ENTRIES = 1 << 17
+
+# A smaller cell runs its replicates in stacked chunks of as many as fit this
+# many entries (1 MB of float64): per replicate, its largest transport
+# operator plus the tables its statistic evaluates. On a 2-vCPU VM, 100 x 100
+# coverage intervals at eps = 2 took 0.87 ms each in chunks of 13, against
+# 1.50 ms one at a time; 250 x 250 ones about 4% less in chunks of 2. The
+# potential-rate desk cells, in chunks of 4 to 6, ran 1.7x the replicates per
+# second at 4.5% more peak RSS (twice this budget measured +6%).
+_CHUNK_ENTRIES = 1 << 17
 
 
 class ExperimentKind(enum.Enum):
@@ -264,7 +280,21 @@ def _scenario_for(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# per-replicate statistics: (scenario, d, solver) -> ((stream, n) -> tuple)
+# statistics: (scenario, d, solver) -> (stat, entries); stat maps (streams, n)
+# to one tuple, or None, per stream; entries counts the float64 entries of the
+# tables one replicate evaluates besides its transport operators
+
+
+def _outcome(results: tuple, value):
+    """``value(*results)`` for one replicate's stacked results, in the order a
+    lone replicate meets them: None from the first whose solve did not
+    converge; any other error is raised."""
+    for result in results:
+        if isinstance(result, NotConverged):
+            return None
+        if isinstance(result, Exception):
+            raise result
+    return value(*results)
 
 
 def _coverage_statistic(scenario, d: int, solver: SolverConfig):
@@ -272,12 +302,12 @@ def _coverage_statistic(scenario, d: int, solver: SolverConfig):
     truth = scenario.truth(d, solver.eps)
     alpha = scenario.cfg.alpha
 
-    def stat(stream, n):
-        P_n, Q_n = scenario.sample_pair(stream, d, n)
-        ci = ci_two_sample(P_n, Q_n, solver, alpha)
-        return (1 if ci.contains(truth) else 0, ci.half_width)
+    def stat(streams, n):
+        Ps, Qs = zip(*(scenario.sample_pair(stream, d, n) for stream in streams))
+        return [_outcome((ci,), lambda ci: (1 if ci.contains(truth) else 0, ci.half_width))
+                for ci in _ci_two_sample_stack(Ps, Qs, solver, alpha)]
 
-    return stat
+    return stat, 0
 
 
 def _bias_statistic(scenario, d: int, solver: SolverConfig):
@@ -285,10 +315,12 @@ def _bias_statistic(scenario, d: int, solver: SolverConfig):
     P, Q = scenario.pair(d)
     truth = scenario.truth(d, solver.eps)
 
-    def stat(stream, n):
-        return (bias_replicate(sample_empirical(P, n, stream), Q, solver, truth),)
+    def stat(streams, n):
+        Ps = [sample_empirical(P, n, stream) for stream in streams]
+        return [_outcome((x,), lambda x: (x[2] - truth,))
+                for x in _solved_costs(Ps, [Q] * len(Ps), solver)]
 
-    return stat
+    return stat, 0
 
 
 def bias_replicate(P_emp: DiscreteMeasure, Q: DiscreteMeasure,
@@ -303,9 +335,9 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
 
     The grid-to-Q kernel and Q's monomials, and the population side f*'s
     grid tables, are fixed per (d, eps): they are built here once and
-    shared, read-only, by every replicate, which evaluates its extension on
-    them and subtracts f*'s tables as :class:`PotentialDifference` does, so
-    each value is bit-identical to
+    shared, read-only, by every replicate. A chunk of replicates evaluates
+    its extensions on them as one stack and subtracts f*'s tables as
+    :class:`PotentialDifference` does, so each value is bit-identical to
     ``holder_norm(PotentialDifference(f_n, f*), ...)``."""
     P, Q = scenario.pair(d)
     pts = GridSpec.default(CompactDomain.enclosing(P, Q)).points()
@@ -318,15 +350,27 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
     for table in star.values():
         table.flags.writeable = False
 
-    def stat(stream, n):
-        P_n = sample_empirical(P, n, stream)
-        pair, _ = solve(P_n, Q, solver)
-        pair = normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
-        lt = f_extension(pair, Q)._evaluate(pts, alphas, *tables)
-        terms = _order_terms({a: lt[a] - star[a] for a in lt}, alphas, s)
-        return sum(terms) ** 2, terms[0] ** 2
+    def stat(streams, n):
+        Ps = [sample_empirical(P, n, stream) for stream in streams]
+        solved = _solve_stack(Ps, [Q] * len(Ps), solver)
+        kept = [(P_n, x[0]) for P_n, x in zip(Ps, solved) if not isinstance(x, NotConverged)]
+        if not kept:
+            return [None] * len(solved)
+        _, g = _shift(np.stack([pair.f for _, pair in kept]),
+                      np.stack([pair.g for _, pair in kept]),
+                      np.stack([P_n.weights for P_n, _ in kept]), Q.weights,
+                      Normalization.ZERO_G_MEAN)
+        lt = _extensions(g, Q, solver.eps, pts, alphas, *tables)
+        for a in lt:
+            lt[a] -= star[a]
+        terms = _order_terms(lt, alphas, s)
+        values = iter([(sum(t) ** 2, t[0] ** 2)
+                       for t in zip(*(term.tolist() for term in terms))])
+        return [None if isinstance(x, NotConverged) else next(values) for x in solved]
 
-    return stat
+    # values, raw moments, cumulants and derivatives on the grid, with their
+    # temporaries: 10.4 grid tables per replicate at d = 2 (tracemalloc)
+    return stat, 12 * len(pts)
 
 
 def _divergence_statistic(scenario, d: int, solver: SolverConfig):
@@ -338,16 +382,19 @@ def _divergence_statistic(scenario, d: int, solver: SolverConfig):
     P, _ = scenario.pair(d)
     s_pop_self = _solved_cost(P, P, solver)[2]
 
-    def stat(stream, n):
-        P_n = sample_empirical(P, n, stream)
-        P2_n = sample_empirical(P, n, stream)
-        s_nn = _solved_cost(P_n, P_n, solver)[2]
-        s_np = _solved_cost(P_n, P, solver)[2]
-        s_22 = _solved_cost(P2_n, P2_n, solver)[2]
-        s_12 = _solved_cost(P_n, P2_n, solver)[2]
-        return s_np - 0.5 * (s_nn + s_pop_self), s_12 - 0.5 * (s_nn + s_22)
+    def stat(streams, n):
+        pairs = [(sample_empirical(P, n, stream), sample_empirical(P, n, stream))
+                 for stream in streams]
+        Ps, P2s = [p for p, _ in pairs], [p2 for _, p2 in pairs]
+        s_nn = _solved_costs(Ps, Ps, solver)
+        s_np = _solved_costs(Ps, [P] * len(Ps), solver)
+        s_22 = _solved_costs(P2s, P2s, solver)
+        s_12 = _solved_costs(Ps, P2s, solver)
+        return [_outcome(r, lambda nn, np_, s22, s12: (
+                    np_[2] - 0.5 * (nn[2] + s_pop_self), s12[2] - 0.5 * (nn[2] + s22[2])))
+                for r in zip(s_nn, s_np, s_22, s_12)]
 
-    return stat
+    return stat, 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +507,21 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for index, (d, eps, n) in enumerate(
                 itertools.product(cfg.dims, cfg.eps_list, cfg.n_list)):
-            pooled = pool is not None and operator_entries(scenario, d, n) >= _POOL_MIN_ENTRIES
-            fan_out = pool.map if pooled else map
             if (d, eps) not in stats:
                 stats[d, eps] = statistic(scenario, d, replace(cfg.solver, eps=eps))
+            stat, table_entries = stats[d, eps]
+            entries = operator_entries(scenario, d, n)
+            if entries >= _POOL_MIN_ENTRIES:
+                size, fan_out = 1, map if pool is None else pool.map
+            else:
+                size, fan_out = max(1, _CHUNK_ENTRIES // (entries + table_entries)), map
+            chunks = [range(r, min(r + size, cfg.replicates))
+                      for r in range(0, cfg.replicates, size)]
 
-            def one(r, stat=stats[d, eps], index=index, n=n):
-                try:
-                    return stat(SplitMix64(derived_seed(cfg.seed, index, r)), n)
-                except NotConverged:
-                    return None
+            def run_chunk(chunk, stat=stat, index=index, n=n):
+                return stat([SplitMix64(derived_seed(cfg.seed, index, r)) for r in chunk], n)
 
-            cells.append(((d, eps, n), list(fan_out(one, range(cfg.replicates)))))
+            cells.append(((d, eps, n), [o for out in fan_out(run_chunk, chunks) for o in out]))
     if labels is None:
         return _coverage_result(cfg, scenario, cells)
     return _rate_result(cfg, scenario, cells, labels)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, OutOfRange
 from .measures import DiscreteMeasure
-from .sinkhorn import PotentialPair, SolverConfig, _check_pair_dims, _dot, _solved_cost
+from .sinkhorn import (PotentialPair, SolverConfig, _check_pair_dims, _dot, _lone,
+                       _solved_cost, _solved_costs)
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -136,15 +137,26 @@ def ci_one_sample(P_n: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
 def ci_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure, cfg: SolverConfig,
                   alpha: float) -> ConfidenceInterval:
     """Interval for the population cost from two empirical measures."""
+    return _lone(_ci_two_sample_stack((P_n,), (Q_m,), cfg, alpha))
+
+
+def _ci_two_sample_stack(Ps, Qs, cfg: SolverConfig, alpha: float) -> list:
+    """:func:`ci_two_sample` of each pair ``(Ps[r], Qs[r])`` of a stack, solved
+    as one stack; a solve's error is returned, not raised."""
     z = _two_sided_z(alpha)
-    pair, _, center = _solved_cost(P_n, Q_m, cfg)
-    var = variance_two_sample(P_n, Q_m, pair)
-    return ConfidenceInterval(
-        center=center,
-        half_width=two_sample_half_width(var.value, var.n, var.m, z),
-        level=1.0 - alpha,
-        variance=var,
-    )
+    out = []
+    for P_n, Q_m, solved in zip(Ps, Qs, _solved_costs(Ps, Qs, cfg)):
+        if not isinstance(solved, Exception):
+            pair, _, center = solved
+            var = variance_two_sample(P_n, Q_m, pair)
+            solved = ConfidenceInterval(
+                center=center,
+                half_width=two_sample_half_width(var.value, var.n, var.m, z),
+                level=1.0 - alpha,
+                variance=var,
+            )
+        out.append(solved)
+    return out
 
 
 def sinkhorn_divergence(P: DiscreteMeasure, Q: DiscreteMeasure,

@@ -17,7 +17,14 @@ count.
 
 :func:`solve` overrelaxes the alternating half-steps, with a factor set from
 the observed contraction rate (Young's SOR factor), and stops on a residual
-bound that holds for any factor; see its docstring.
+bound that holds for any factor; see its docstring. :func:`_solve_stack`
+runs the sweeps of several problems of one size together: each kernel
+half-step is one ``einsum`` over the stacked kernels, which gives every
+problem the sums of its own call, while each problem keeps its own factor,
+residual and sweep count and leaves the stack at the sweep where it meets
+tol. So each result is that of a lone solve, bit for bit, and :func:`solve`
+is a stack of one. A problem whose kernel underflows runs its later
+half-steps on cost slabs, one problem at a time, inside the stack.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ _KERNEL_FLOOR = 1e-200
 # among 16K-256K entries from 1681 x 10 to 5000 x 5000 costs; fixed 64-row
 # slabs cost skinny grids (m = 10) one numpy call per 640 entries.
 _COST_SLAB_ENTRIES = 1 << 15
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class Normalization(enum.Enum):
@@ -134,8 +143,7 @@ class SolveReport:
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(w > 0, np.log(np.maximum(w, np.finfo(np.float64).tiny)), -np.inf)
+    return np.where(w > 0, np.log(np.maximum(w, _TINY)), -np.inf)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -148,10 +156,13 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot(x: np.ndarray, w: np.ndarray) -> float:
+def _dot(x: np.ndarray, w: np.ndarray):
     """``sum_i x_i w_i`` by ``einsum``: BLAS ``x @ w`` changes its bits with the
-    BLAS thread count from about 10k entries up."""
-    return float(np.einsum("i,i->", x, w))
+    BLAS thread count from about 10k entries up. A float for 1-d ``x``; for a
+    stack of rows, each row's sum (with ``w``'s matching row, or ``w``), bit
+    for bit as alone."""
+    out = np.einsum("...i,...i->...", x, w)
+    return float(out) if out.ndim == 0 else out
 
 
 def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float) -> np.ndarray:
@@ -170,17 +181,21 @@ def _soft_min(pot: np.ndarray, log_w: np.ndarray, C: np.ndarray, eps: float) -> 
 def _kernel_soft_min(K: np.ndarray, pot: np.ndarray, log_w: np.ndarray, eps: float):
     """:func:`_soft_min` of each row on the Gibbs kernel ``K = exp(-C/eps)``.
 
-    Returns ``(values, u, s)``: the scalings ``u = exp(log_w + pot/eps - top)``,
-    max-shifted by ``top = max(log_w + pot/eps)``, the row sums ``s = K u`` and
-    ``values = -eps * (log s + top)``; or ``None`` when a row sum is below
-    ``_KERNEL_FLOOR``, where the caller redoes the step in the log domain.
+    Leading axes of ``pot`` and ``log_w`` stack problems, each with its own
+    kernel (the leading axes of ``K``) or all on one 2-d ``K``; each
+    problem's results are those of its own call, bit for bit. Returns
+    ``(values, u, s)``: the scalings ``u = exp(log_w + pot/eps - top)``,
+    max-shifted by ``top = max(log_w + pot/eps)`` per problem, the row sums
+    ``s = K u`` and ``values = -eps * (log s + top)``; or ``None`` when a row
+    sum of any problem is below ``_KERNEL_FLOOR``, where the caller redoes
+    the step in the log domain.
     """
     t = pot / eps
     t += log_w
-    top = t.max()
+    top = np.maximum.reduce(t, axis=-1, keepdims=t.ndim > 1)  # a scalar for one problem
     u = np.exp(np.subtract(t, top, out=t), out=t)
-    s = np.einsum("ij,j->i", K, u)
-    if not s.min() >= _KERNEL_FLOOR:
+    s = np.einsum("...ij,...j->...i", K, u)
+    if not np.minimum.reduce(s, axis=None) >= _KERNEL_FLOOR:
         return None
     v = np.log(s)
     v += top
@@ -194,20 +209,26 @@ def half_sq_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Avoids BLAS so the summation order (and hence the bit pattern) does not
     depend on the thread count of the underlying library. Built in row slabs
     of about ``_COST_SLAB_ENTRIES`` entries, so the only temporary is one
-    slab.
+    slab; the first axis squares in the slab itself, and Y's coordinates are
+    read from a contiguous copy of each axis (a 250 x 250 cost at d = 2 took
+    a quarter less time than with a zeroed slab and strided columns).
     """
     n, m = X.shape[0], Y.shape[0]
+    if X.shape[1] == 0:
+        return np.zeros((n, m))
     rows = max(1, _COST_SLAB_ENTRIES // max(m, 1))
     C = np.empty((n, m))
     diff = np.empty((min(n, rows), m))
+    Y_axes = np.ascontiguousarray(Y.T)
     for start in range(0, n, rows):
         slab = C[start:start + rows]
         tmp = diff[:slab.shape[0]]
-        slab.fill(0.0)
         for k in range(X.shape[1]):
-            np.subtract(X[start:start + rows, k, None], Y[None, :, k], out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
-            slab += tmp
+            term = tmp if k else slab
+            np.subtract(X[start:start + rows, k, None], Y_axes[k], out=term)
+            np.multiply(term, term, out=term)
+            if k:
+                slab += term
         slab *= 0.5
     return C
 
@@ -219,50 +240,137 @@ def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
     return np.exp(K, out=K)
 
 
-class _Updates:
-    """Half-step maps of the dual iteration.
+def _kernel_stack(Ps, Qs, eps: float) -> np.ndarray:
+    """The Gibbs kernel of each problem, stacked; a stack of one is its kernel."""
+    if len(Ps) == 1:
+        return _gibbs_kernel(Ps[0].points, Qs[0].points, eps)[None]
+    K = np.empty((len(Ps), Ps[0].n, Qs[0].n))
+    for k, P, Q in zip(K, Ps, Qs):
+        k[...] = _gibbs_kernel(P.points, Q.points, eps)
+    return K
 
-    A dense problem holds one n x m operator, the kernel ``exp(-C/eps)``. A
-    blocked problem rebuilds cost slabs of at most ``dense_entry_limit``
-    entries on every half-step, and so does a dense one from its first kernel
-    sum below ``_KERNEL_FLOOR`` on, with the kernel dropped. ``path`` is the
+
+class _Updates:
+    """Half-step maps of the dual iteration, over a stack of problems.
+
+    The problems share their sizes (n x m) and eps; a lone problem may be
+    given as its two measures. A dense stack holds one n x m operator per
+    problem, the kernel ``exp(-C/eps)``, in a slot of one stack array, and
+    runs a half-step as one kernel product over the live slots, a range of
+    the stack (at first every problem, in order). Row i of a half-step's
+    argument and result belongs to live slot i; with one live slot the rows
+    may also be 1-d. A blocked problem rebuilds cost slabs of at most
+    ``dense_entry_limit`` entries on every half-step, and so does a dense
+    one from its first kernel sum below ``_KERNEL_FLOOR`` on; the kernels are
+    dropped once no problem reads them. ``paths[r]`` is problem r's
     :class:`SolveReport` path so far.
     """
 
-    def __init__(self, P: DiscreteMeasure, Q: DiscreteMeasure, eps: float,
-                 dense_entry_limit: int = DENSE_ENTRY_LIMIT):
-        if P.dim != Q.dim:
-            raise DimensionMismatch(f"ambient dimensions differ: {P.dim} vs {Q.dim}")
-        self.log_a, self.log_b = _log_weights(P.weights), _log_weights(Q.weights)
+    def __init__(self, Ps, Qs, eps: float, dense_entry_limit: int = DENSE_ENTRY_LIMIT):
+        if isinstance(Ps, DiscreteMeasure):
+            Ps, Qs = (Ps,), (Qs,)
+        for P, Q in zip(Ps, Qs):
+            if P.dim != Q.dim:
+                raise DimensionMismatch(f"ambient dimensions differ: {P.dim} vs {Q.dim}")
+        self.a = np.array([P.weights for P in Ps])
+        self.b = np.array([Q.weights for Q in Qs])
+        self.log_a, self.log_b = _log_weights(self.a), _log_weights(self.b)
         self.eps = eps
         self._limit = dense_entry_limit
-        self._points = ((P.points, Q.points), (Q.points, P.points))
-        self._ops, self.path = None, "blocked"
-        if P.n * Q.n <= dense_entry_limit:
-            K = _gibbs_kernel(P.points, Q.points, eps)
-            self._ops, self.path = (K, K.T), "kernel"
+        self._points = [((P.points, Q.points), (Q.points, P.points)) for P, Q in zip(Ps, Qs)]
+        self._sizes = (self.a.shape[1], self.b.shape[1])
+        dense = self.a.shape[1] * self.b.shape[1] <= dense_entry_limit
+        self.paths = ["kernel" if dense else "blocked"] * len(Ps)
+        self._log = [not dense] * len(Ps)  # problems on cost slabs
+        self._K = _kernel_stack(Ps, Qs, eps) if dense else None
+        self._slots = list(range(len(Ps)))  # the problem in each slot
+        self._arm(0, len(Ps))
 
-    def _half_step(self, pot: np.ndarray, log_w: np.ndarray, side: int) -> np.ndarray:
-        """:func:`_soft_min` of ``pot`` along rows of the cost (side 0) or its transpose (1)."""
-        if self._ops is not None:
-            step = _kernel_soft_min(self._ops[side], pot, log_w, self.eps)
+    def _arm(self, lo: int, hi: int) -> None:
+        """Point the half-steps at the live slots ``lo`` to ``hi - 1``."""
+        self._lo, self._live = lo, self._slots[lo:hi]
+        pick = lo if hi - lo == 1 else slice(lo, hi)
+        slots = self._live[0] if hi - lo == 1 else self._live
+        self._log_w = (self.log_b[slots], self.log_a[slots])
+        self._ops = None
+        if self._K is not None:
+            K = self._K[pick]
+            self._ops = (K, K.swapaxes(-1, -2))
+        self._mixed = any(self._log[r] for r in self._live)
+
+    def _swap(self, i: int, j: int) -> None:
+        slots = self._slots
+        slots[i], slots[j] = slots[j], slots[i]
+        if self._K is not None:
+            row = self._K[i].copy()
+            self._K[i] = self._K[j]
+            self._K[j] = row
+
+    def retire(self, left: list) -> list:
+        """Take the live rows ``left`` off the live slots. Rows at either end
+        of the live range just narrow it; one inside swaps slots with the
+        last live row first, so no kernel is copied whole. Returns ``order``:
+        live row i now holds what live row ``order[i]`` held."""
+        order, gone, lo = list(range(len(self._live))), set(left), self._lo
+        while order:
+            if order[0] in gone:
+                order.pop(0)
+                lo += 1
+            elif order[-1] in gone:
+                order.pop()
+            else:
+                inner = next((k for k, i in enumerate(order) if i in gone), None)
+                if inner is None:
+                    break
+                self._swap(lo + inner, lo + len(order) - 1)
+                order[inner] = order.pop()
+        self._arm(lo, lo + len(order))
+        return order
+
+    def restore(self) -> None:
+        """Every problem live again, each in its own slot, in stack order."""
+        for i in range(len(self._slots)):
+            while self._slots[i] != i:
+                self._swap(i, self._slots[i])
+        self._arm(0, len(self._slots))
+
+    def _half_step(self, pot: np.ndarray, side: int) -> np.ndarray:
+        """:func:`_soft_min` of each row of ``pot`` along the rows of its
+        problem's cost (side 0) or of its transpose (side 1)."""
+        if self._ops is not None and not self._mixed:
+            step = _kernel_soft_min(self._ops[side], pot, self._log_w[side], self.eps)
             if step is not None:
                 return step[0]
-            self._ops, self.path = None, "kernel+log"  # blocked from here on
-        rows, cols = self._points[side]
-        step = max(1, self._limit // cols.shape[0])
-        out = np.empty(rows.shape[0])
-        for start in range(0, rows.shape[0], step):
-            k = slice(start, start + step)
-            C = half_sq_cost(rows[k], cols)
-            out[k] = _soft_min(pot, log_w, C, self.eps)
-        return out
+        # some problem is, or now goes, on cost slabs: one problem at a time
+        pots = pot.reshape(len(self._live), -1)
+        log_ws = (self.log_b, self.log_a)[side]
+        out = np.empty((len(self._live), self._sizes[side]))
+        for i, r in enumerate(self._live):
+            if not self._log[r]:
+                step = _kernel_soft_min(self._K[self._lo + i].swapaxes(0, side), pots[i],
+                                        log_ws[r], self.eps)
+                if step is not None:
+                    out[i] = step[0]
+                    continue
+                self._log[r], self.paths[r] = True, "kernel+log"
+        if all(self._log):
+            self._K = self._ops = None  # no problem reads a kernel any more
+        for i, r in enumerate(self._live):
+            if self._log[r]:
+                rows, cols = self._points[r][side]
+                step = max(1, self._limit // cols.shape[0])
+                for start in range(0, rows.shape[0], step):
+                    k = slice(start, start + step)
+                    out[i, k] = _soft_min(pots[i], log_ws[r], half_sq_cost(rows[k], cols),
+                                          self.eps)
+        self._mixed = True
+        return out.reshape(pot.shape[:-1] + out.shape[1:])
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
-        return self._half_step(g, self.log_b, 0)
+        return self._half_step(g, 0)
 
     def g_from(self, f: np.ndarray) -> np.ndarray:
-        return self._half_step(f, self.log_a, 1)
+        return self._half_step(f, 1)
 
 
 def _check_pair_dims(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair):
@@ -281,17 +389,24 @@ def normalize(pair: PotentialPair, P: DiscreteMeasure, Q: DiscreteMeasure,
     unchanged.
     """
     _check_pair_dims(P, Q, pair)
-    f_mean = _dot(pair.f, P.weights)
-    g_mean = _dot(pair.g, Q.weights)
+    f, g = _shift(pair.f[None], pair.g[None], P.weights, Q.weights, convention)
+    return PotentialPair(f[0], g[0], pair.eps, convention)
+
+
+def _shift(f: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray,
+           convention: Normalization):
+    """``(f + c, g - c)`` for a stack of pairs (one per row) on weights ``a``
+    and ``b`` (one row per pair, or one for all), with the shift ``c`` of
+    each row that makes ``convention`` hold."""
     if convention is Normalization.EQUAL_MEANS:
-        c = 0.5 * (g_mean - f_mean)
+        c = 0.5 * (_dot(g, b) - _dot(f, a))
     elif convention is Normalization.ZERO_G_MEAN:
-        c = g_mean
+        c = _dot(g, b)
     elif convention is Normalization.RAW:
-        c = 0.0
+        c = np.zeros(len(f))
     else:  # pragma: no cover
         raise ValueError(f"unknown convention {convention!r}")
-    return PotentialPair(pair.f + c, pair.g - c, pair.eps, convention)
+    return f + c[:, None], g - c[:, None]
 
 
 class _Relaxation:
@@ -374,59 +489,120 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
 
     Returns ``(pair, report)`` with the pair normalized to equal means.
     Raises :class:`NotConverged` (with the report and pair attached) if the
-    iteration budget runs out first.
+    iteration budget runs out first. This is :func:`_solve_stack` on a stack
+    of one.
     """
-    upd = _Updates(P, Q, cfg.eps, dense_entry_limit)
-    g = np.zeros(Q.n)
-    f = np.zeros(P.n)
-    relax = _Relaxation()
-    residual = np.inf
-    iterations = 0
-    converged = False
+    return _lone(_solve_stack((P,), (Q,), cfg, dense_entry_limit))
+
+
+def _lone(results: list):
+    """The one result of a stack of one; an error result is raised."""
+    (result,) = results
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _solve_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> list:
+    """:func:`solve` of each problem ``(Ps[r], Qs[r])`` of a stack, in one sweep loop.
+
+    The problems share their sizes. Each keeps its own relaxation, residual
+    and sweep count, and leaves the stack at the sweep where it meets tol,
+    so its result is that of a lone :func:`solve`, bit for bit:
+    ``(pair, report)``, or the :class:`NotConverged` a lone solve raises
+    (returned, not raised).
+    """
+    upd = _Updates(Ps, Qs, cfg.eps, dense_entry_limit)
+    eps, tol, count = cfg.eps, cfg.tol, len(Ps)
+    rows = np.arange(count)  # the problem of each row still sweeping
+    f, g = np.zeros((count, Ps[0].n)), np.zeros((count, Qs[0].n))
+    F, G = np.empty_like(f), np.empty_like(g)  # each problem's pair as it left
+    if count == 1:  # a stack of one sweeps its 1-d rows: fewer cycles per numpy call
+        f, g = f[0], g[0]
+    relax = [_Relaxation() for _ in rows]
+    sweeps, factors, residuals, converged = ([None] * count for _ in range(4))
     for iterations in range(1, cfg.max_iter + 1):
-        w = relax.w
+        w = [r.w for r in relax]
+        relaxed = w.count(1.0) < len(w)
+        # plain sweeps (w = 1) keep the unrelaxed arithmetic bit for bit, also
+        # as rows of a relaxed stack
+        plain = [x == 1.0 for x in w] if relaxed and 1.0 in w else None
         f_hat = upd.f_from(g)
-        if w == 1.0:  # plain sweeps keep the unrelaxed arithmetic bit for bit
-            f, f_move = f_hat, 0.0
-        else:
+        if relaxed:
+            w_col = w[0] if len(w) == 1 else np.array(w)[:, None]  # same bits; a float is cheaper
             step = f_hat - f
-            f = f + w * step
-            f_move = (w - 1.0) * float(np.abs(step).max())
+            f = f + w_col * step
+            f_move = [0.0 if x == 1.0 else (x - 1.0) * m for x, m in zip(w, _row_max(step))]
+            if plain:
+                f[plain] = f_hat[plain]
+        else:
+            f, f_move = f_hat, [0.0] * len(w)
         g_hat = upd.g_from(f)
         step = g_hat - g
-        moved = float(np.abs(step).max()) / cfg.eps
-        residual = moved + f_move / cfg.eps
-        if residual <= cfg.tol:
-            converged = True
-            break
-        g = g_hat if w == 1.0 else g + w * step
-        relax.update(moved)
-    pair = normalize(PotentialPair(f, g_hat, cfg.eps), P, Q, Normalization.EQUAL_MEANS)
-    optimality, f_hat = _two_sided_residual(upd, pair)
-    dual = _dual_value(P, Q, pair, upd.log_a, f_hat)
-    report = SolveReport(iterations, residual, dual, converged, optimality, upd.path, w)
-    if not converged:
-        raise NotConverged(
-            f"residual {residual:.3e} above tol {cfg.tol:.3e} "
-            f"after {iterations} iterations",
+        left = []
+        for i, (r, f_m, g_m) in enumerate(zip(relax, f_move, _row_max(step))):
+            moved = g_m / eps
+            residual = moved + f_m / eps
+            if residual <= tol or iterations == cfg.max_iter:  # problem rows[i] leaves
+                k = rows[i]
+                sweeps[k], factors[k], residuals[k] = iterations, w[i], residual
+                converged[k] = residual <= tol
+                left.append(i)
+            else:
+                r.update(moved)
+        if left:
+            F[rows[left]] = f.reshape(len(w), -1)[left]
+            G[rows[left]] = g_hat.reshape(len(w), -1)[left]
+            if len(left) == len(w):
+                break
+            order = upd.retire(left)
+            rows, f, g, g_hat, step = (a[order] for a in (rows, f, g, g_hat, step))
+            relax, w = [relax[i] for i in order], [w[i] for i in order]
+            if relaxed:
+                w_col = np.array(w)[:, None]
+                plain = [x == 1.0 for x in w] if 1.0 in w else None
+        if relaxed:
+            g = g + w_col * step
+            if plain:
+                g[plain] = g_hat[plain]
+        else:
+            g = g_hat
+    upd.restore()
+    F, G = _shift(F, G, upd.a, upd.b, Normalization.EQUAL_MEANS)
+    optimality, f_hat = _two_sided_residual(upd, F, G)
+    dual = _dual_values(upd, F, G, f_hat).tolist()
+    out = []
+    for r in range(count):
+        pair = PotentialPair(F[r], G[r], eps, Normalization.EQUAL_MEANS)
+        report = SolveReport(sweeps[r], residuals[r], dual[r], converged[r], optimality[r],
+                             upd.paths[r], factors[r])
+        out.append((pair, report) if report.converged else NotConverged(
+            f"residual {report.final_residual:.3e} above tol {cfg.tol:.3e} "
+            f"after {report.iterations} iterations",
             report=report,
             pair=pair,
-        )
-    return pair, report
+        ))
+    return out
 
 
-def _two_sided_residual(upd: _Updates, pair: PotentialPair):
-    """``(residual, f_from(g))`` of a pair against the held operator."""
-    f_hat = upd.f_from(pair.g)
-    rf = float(np.max(np.abs(pair.f - f_hat))) / pair.eps
-    rg = float(np.max(np.abs(pair.g - upd.g_from(pair.f)))) / pair.eps
-    return max(rf, rg), f_hat
+def _row_max(x: np.ndarray) -> list:
+    """``max |x_i|`` of each row (of a 1-d ``x``, its one row), as floats."""
+    top = np.maximum.reduce(np.abs(x), axis=-1)
+    return top.tolist() if x.ndim > 1 else [float(top)]
+
+
+def _two_sided_residual(upd: _Updates, f: np.ndarray, g: np.ndarray):
+    """``(residuals, f_from(g))`` of a stack of pairs against the held operators."""
+    f_hat = upd.f_from(g)
+    rf = [x / upd.eps for x in _row_max(f - f_hat)]
+    rg = [x / upd.eps for x in _row_max(g - upd.g_from(f))]
+    return [max(x, y) for x, y in zip(rf, rg)], f_hat
 
 
 def optimality_residual(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> float:
     """Sup norm of both sides' log marginal ratios for the implied plan."""
     _check_pair_dims(P, Q, pair)
-    return _two_sided_residual(_Updates(P, Q, pair.eps), pair)[0]
+    return _two_sided_residual(_Updates(P, Q, pair.eps), pair.f[None], pair.g[None])[0][0]
 
 
 def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> float:
@@ -436,18 +612,19 @@ def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) 
     """
     _check_pair_dims(P, Q, pair)
     upd = _Updates(P, Q, pair.eps)
-    return _dual_value(P, Q, pair, upd.log_a, upd.f_from(pair.g))
+    f, g = pair.f[None], pair.g[None]
+    return float(_dual_values(upd, f, g, upd.f_from(g))[0])
 
 
-def _dual_value(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
-                log_a: np.ndarray, f_hat: np.ndarray) -> float:
-    """Dual functional at ``pair`` given ``f_hat``, the f half-step of ``pair.g``.
+def _dual_values(upd: _Updates, f: np.ndarray, g: np.ndarray, f_hat: np.ndarray) -> np.ndarray:
+    """Dual functional at each pair of a stack (every problem of ``upd``),
+    given ``f_hat``, the f half-steps of ``g``.
 
     ``sum_j b_j exp((g_j - C_ij)/eps) = exp(-f_hat_i/eps)``, so the plan's
     total mass is ``sum_i a_i exp((f_i - f_hat_i)/eps)``.
     """
-    mass = float(np.exp(_logsumexp(log_a + (pair.f - f_hat) / pair.eps)))
-    return _dot(pair.f, P.weights) + _dot(pair.g, Q.weights) - pair.eps * mass + pair.eps
+    mass = np.exp(_logsumexp(upd.log_a + (f - f_hat) / upd.eps))
+    return _dot(f, upd.a) + _dot(g, upd.b) - upd.eps * mass + upd.eps
 
 
 def _require_optimal(residual: float, tol: float) -> None:
@@ -468,15 +645,31 @@ def cost(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
     return _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
 
 
-def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
-    """:func:`solve`, then :func:`cost` without rebuilding the operator.
-
-    The ``10 * tol`` gate of :func:`cost` is applied to the residual the
-    solve measured. Returns ``(pair, report, cost)``.
-    """
-    pair, report = solve(P, Q, cfg)
-    _require_optimal(report.optimality_residual, cfg.tol)
+def _priced(P: DiscreteMeasure, Q: DiscreteMeasure, result, tol: float):
+    """``(pair, report, cost)`` from a solve's ``(pair, report)``, without
+    rebuilding the operator: the ``10 * tol`` gate of :func:`cost` is applied
+    to the residual the solve measured. An error result, or the
+    :class:`NotOptimal` of the gate, is returned, not raised."""
+    if isinstance(result, Exception):
+        return result
+    pair, report = result
+    try:
+        _require_optimal(report.optimality_residual, tol)
+    except NotOptimal as exc:
+        return exc
     return pair, report, _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
+
+
+def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
+    """:func:`solve`, then :func:`cost` without rebuilding the operator
+    (:func:`_priced`). Returns ``(pair, report, cost)``."""
+    return _lone([_priced(P, Q, solve(P, Q, cfg), cfg.tol)])
+
+
+def _solved_costs(Ps, Qs, cfg: SolverConfig) -> list:
+    """:func:`_solved_cost` of each problem of a stack, its error returned, not raised."""
+    return [_priced(P, Q, result, cfg.tol)
+            for P, Q, result in zip(Ps, Qs, _solve_stack(Ps, Qs, cfg))]
 
 
 def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> TransportPlan:

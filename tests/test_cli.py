@@ -306,6 +306,30 @@ def test_thread_counts_below_one_exit_two_before_any_solve(tmp_path, capsys, mon
         assert "threads" in capsys.readouterr().err
 
 
+def test_seeds_outside_64_bits_exit_two_before_the_config_is_read(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.setattr(cli, "load_config", lambda *a, **k: pytest.fail("read"))
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    cfg_path = tmp_path / "cov.txt"
+    _write_coverage_config(cfg_path)
+    for command, seed in (("coverage", "-1"), ("rate", str(2**64))):
+        assert cli.run([command, "--config", str(cfg_path), "--seed", seed]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
+def test_config_seed_outside_64_bits_exits_four_before_any_solve(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    cfg_path = tmp_path / "cov.txt"
+    cfg_path.write_text(
+        "kind = coverage\nscenario = gaussian\ndims = 2\neps_list = 2\n"
+        "n_list = 25\nreplicates = 6\nalpha = 0.05\nseed = -1\n",
+        encoding="utf-8",
+    )
+    assert cli.run(["coverage", "--config", str(cfg_path)]) == 4
+    assert "seed" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_four(tmp_path, capsys):
     cfg_path = tmp_path / "bad.txt"
     cfg_path.write_text("kind = coverage\nwat = 1\n", encoding="utf-8")

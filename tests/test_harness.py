@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -264,6 +265,50 @@ def test_determinism_across_threads_and_runs(monkeypatch, kind, d):
         assert hz.render(r1, fmt) == hz.render(r2, fmt) == hz.render(r3, fmt)
 
 
+def _spy_statistic(monkeypatch, kind, wrap):
+    """Route every chunk ``_run`` hands the statistic of ``kind`` through
+    ``wrap(stat, streams, n)``."""
+    statistic, labels, entries = hz._KINDS[kind]
+
+    def spy(scenario, d, solver):
+        stat, tables = statistic(scenario, d, solver)
+        return (lambda streams, n: wrap(stat, streams, n)), tables
+
+    monkeypatch.setitem(hz._KINDS, kind, (spy, labels, entries))
+
+
+@pytest.mark.parametrize("kind, d", [
+    *(pytest.param(k, 1, id=k.value) for k in ExperimentKind),
+    pytest.param(ExperimentKind.POTENTIAL_RATE, 2, id="potential_rate-d2"),
+])
+def test_output_bytes_do_not_depend_on_the_chunk_size(monkeypatch, kind, d):
+    cfg = _tiny_coverage(replicates=12) if kind is ExperimentKind.COVERAGE else _tiny_rate(kind, d)
+    sizes = []
+
+    def record(stat, streams, n):
+        sizes.append(len(streams))
+        return stat(streams, n)
+
+    _spy_statistic(monkeypatch, kind, record)
+    texts, chunkings = set(), set()
+    # chunks of one, of a few replicates, the default budget, one chunk per cell
+    for budget in (0, 1_000, 2_000, 5_000, 50_000, hz._CHUNK_ENTRIES, 1 << 62):
+        monkeypatch.setattr(hz, "_CHUNK_ENTRIES", budget)
+        sizes.clear()
+        result = hz.run_experiment(cfg, threads=1)
+        chunkings.add(tuple(sizes))
+        texts.add(tuple(hz.render(result, fmt) for fmt in EmitFormat))
+    assert (1,) * (cfg.replicates * len(cfg.n_list)) in chunkings
+    assert (cfg.replicates,) * len(cfg.n_list) in chunkings
+    assert len(chunkings) >= 3
+    pool_maps = force_pool(monkeypatch)  # every cell to the pool, as chunks of one
+    sizes.clear()
+    result = hz.run_experiment(cfg, threads=3)
+    assert pool_maps == [3] * len(cfg.n_list) and set(sizes) == {1}
+    texts.add(tuple(hz.render(result, fmt) for fmt in EmitFormat))
+    assert len(texts) == 1
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Stands in for ThreadPoolExecutor: maps in the calling thread and records
@@ -476,20 +521,23 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
     cfg = hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt")
     scenario = hz._scenario_for(cfg)
     P, Q = scenario.pair(2)
-    stat = hz._potential_statistic(scenario, 2, cfg.solver)
+    stat, _ = hz._potential_statistic(scenario, 2, cfg.solver)
     pop, _ = sk.solve(P, Q, hz._tight_solver(cfg, 1.0))
     f_star = pot.f_extension(sk.normalize(pop, P, Q, Normalization.ZERO_G_MEAN), Q)
     grid = pot.GridSpec.default(ms.CompactDomain.enclosing(P, Q))
     order = pot.HolderOrder.for_dimension(2)
     for n in (50, 800):
-        for r in range(3):
-            seed = ms.derived_seed(cfg.seed, n, r)
+        seeds = [ms.derived_seed(cfg.seed, n, r) for r in range(3)]
+        for seed in seeds:
             P_n = ms.sample_empirical(P, n, ms.SplitMix64(seed))
             pair, _ = sk.solve(P_n, Q, cfg.solver)
             pair = sk.normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
             delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
             est = pot.holder_norm(delta, order, grid)
-            assert stat(ms.SplitMix64(seed), n) == (est.value**2, est.order_terms[0] ** 2)
+            assert stat([ms.SplitMix64(seed)], n) == [(est.value**2, est.order_terms[0] ** 2)]
+        # a chunk of replicates gives each one's lone value
+        chunk = stat([ms.SplitMix64(seed) for seed in seeds], n)
+        assert chunk == [stat([ms.SplitMix64(seed)], n)[0] for seed in seeds]
 
 
 def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
@@ -504,18 +552,56 @@ def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(hz, "_kernel_tables", kernel_tables)
-    stat = hz._potential_statistic(hz._scenario_for(cfg), 2, cfg.solver)
+    stat, _ = hz._potential_statistic(hz._scenario_for(cfg), 2, cfg.solver)
     assert len(built) == 1
     K, M = built[0]
     assert K.shape == (41 * 41, 10) and M.shape == (10, 5)
     assert not K.flags.writeable and not M.flags.writeable
     before = K.copy(), M.copy()
-    kernel = stat(ms.SplitMix64(7), 50)
+    [kernel] = stat([ms.SplitMix64(7)], 50)
     with monkeypatch.context() as m:
         m.setattr(sk, "_KERNEL_FLOOR", np.inf)
-        log = stat(ms.SplitMix64(7), 50)
+        [log] = stat([ms.SplitMix64(7)], 50)
     assert log == pytest.approx(kernel, rel=1e-12)
     assert np.array_equal(K, before[0]) and np.array_equal(M, before[1])
+
+
+def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
+    # _run sizes a chunk so that its replicates' working sets (an n x 10
+    # operator and twelve 41 x 41 grid tables each) fit _CHUNK_ENTRIES
+    # entries; the traced peak of the chunk's statistic, samples and solves
+    # included, stays below that budget in float64 bytes, plus a quarter (0.8
+    # of it measured at n = 50, in chunks of 6). The shared grid kernel and
+    # monomials stay read-only and unwritten.
+    cfg = replace(hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt"),
+                  n_list=(50, 800), replicates=12)
+    built = []
+
+    def kernel_tables(*args):
+        built.append(pot._kernel_tables(*args))
+        built.append(tuple(table.copy() for table in built[-1]))
+        return built[0]
+
+    monkeypatch.setattr(hz, "_kernel_tables", kernel_tables)
+    sizes, peaks = [], []
+
+    def traced(stat, streams, n):
+        tracemalloc.start()
+        try:
+            out = stat(streams, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(len(streams))
+        return out
+
+    _spy_statistic(monkeypatch, ExperimentKind.POTENTIAL_RATE, traced)
+    hz.run_potential_rate(cfg, threads=1)
+    assert min(sizes) > 1 and sum(sizes) == 2 * cfg.replicates
+    assert max(peaks) < 1.25 * hz._CHUNK_ENTRIES * 8
+    (K, M), (K0, M0) = built
+    assert not K.flags.writeable and not M.flags.writeable
+    assert np.array_equal(K, K0) and np.array_equal(M, M0)
 
 
 def test_divergence_rate_smoke():

@@ -1,0 +1,116 @@
+"""A stack of problems solved in one sweep loop gives each problem's lone solve.
+
+``sinkhorn._solve_stack`` runs the sweeps of several same-sized problems
+together; a problem leaves the stack at the sweep where it meets tol. Its
+pair and report, or its ``NotConverged``, must be those of a lone
+``solve``, bit for bit, on every half-step path.
+"""
+
+import numpy as np
+import pytest
+
+from entot import measures as ms
+from entot import sinkhorn as sk
+from entot.errors import NotConverged
+from entot.sinkhorn import SolverConfig
+
+from _util import SUITE_SEED
+
+
+def _problems(count, n=40, m=30, seed=71):
+    """Seeded Gaussian pairs of one shape, d = 2; Q is shifted by 1."""
+    stream = ms.SeedSpec(SUITE_SEED, seed).stream()
+    return ([ms.sample_gaussian(np.zeros(2), 1.0, n, stream) for _ in range(count)],
+            [ms.sample_gaussian(np.ones(2), 1.0, m, stream) for _ in range(count)])
+
+
+def _lone(P, Q, cfg, **kw):
+    try:
+        return sk.solve(P, Q, cfg, **kw)
+    except NotConverged as exc:
+        return exc
+
+
+def _parts(result):
+    if isinstance(result, NotConverged):
+        return result.pair, result.report
+    return result
+
+
+def _assert_same(stacked, lone):
+    """f and g bytes and every report field, or the same NotConverged."""
+    assert isinstance(stacked, NotConverged) == isinstance(lone, NotConverged)
+    if isinstance(lone, NotConverged):
+        assert str(stacked) == str(lone)
+    (a, ra), (b, rb) = _parts(stacked), _parts(lone)
+    assert a.f.tobytes() == b.f.tobytes() and a.g.tobytes() == b.g.tobytes()
+    assert a.normalization is b.normalization
+    for field in ("iterations", "final_residual", "dual_value", "converged",
+                  "optimality_residual", "relaxation", "path"):
+        assert getattr(ra, field) == getattr(rb, field), field
+
+
+def _check_stack(Ps, Qs, cfg, **kw):
+    stacked = sk._solve_stack(Ps, Qs, cfg, **kw)
+    lone = [_lone(P, Q, cfg, **kw) for P, Q in zip(Ps, Qs)]
+    assert len(stacked) == len(Ps)
+    for s, lo in zip(stacked, lone):
+        _assert_same(s, lo)
+    return [_parts(lo)[1] for lo in lone]
+
+
+# eps = 0.5: problems leave at different sweeps, most of them relaxed; eps = 2:
+# few sweeps; seed 123 at eps = 0.2 has plain rows in relaxed sweeps where
+# f + 1 * (f_hat - f) is not f_hat bit for bit
+@pytest.mark.parametrize("seed, eps", [(71, 0.5), (72, 2.0), (123, 0.2)])
+def test_kernel_stack_matches_lone_solves(seed, eps):
+    reports = _check_stack(*_problems(6, seed=seed), SolverConfig(eps=eps))
+    assert len({r.iterations for r in reports}) > 1
+    assert any(r.relaxation > 1.0 for r in reports)
+    assert {r.path for r in reports} == {"kernel"}
+
+
+def test_stack_with_one_underflowing_problem_matches_lone_solves():
+    # one atom of the third P sits 31 away from every atom of its Q: its kernel
+    # row sum is below _KERNEL_FLOOR (0.5 * 31**2 = 480.5 > 460.5) at eps = 1
+    Ps, Qs = _problems(4, seed=73)
+    far = Ps[2].points.copy()
+    far[0] += 31.0
+    Ps[2] = ms.DiscreteMeasure(far, Ps[2].weights)
+    reports = _check_stack(Ps, Qs, SolverConfig(eps=1.0))
+    assert [r.path for r in reports] == ["kernel", "kernel", "kernel+log", "kernel"]
+
+
+def test_blocked_stack_matches_lone_solves():
+    Ps, Qs = _problems(3, n=20, m=15, seed=74)
+    reports = _check_stack(Ps, Qs, SolverConfig(eps=0.5), dense_entry_limit=100)
+    assert {r.path for r in reports} == {"blocked"}
+
+
+def test_budget_run_out_inside_a_stack_matches_lone_solves():
+    Ps, Qs = _problems(6, seed=75)
+    sweeps = sorted(r.iterations for r in _check_stack(Ps, Qs, SolverConfig(eps=0.5)))
+    # a budget some problems meet and some do not
+    cfg = SolverConfig(eps=0.5, max_iter=sweeps[len(sweeps) // 2])
+    stacked = sk._solve_stack(Ps, Qs, cfg)
+    failed = [isinstance(s, NotConverged) for s in stacked]
+    assert any(failed) and not all(failed)
+    for s, (P, Q) in zip(stacked, zip(Ps, Qs)):
+        _assert_same(s, _lone(P, Q, cfg))
+
+
+def test_stack_of_one_is_solve():
+    Ps, Qs = _problems(1, seed=76)
+    cfg = SolverConfig(eps=0.5)
+    (stacked,) = sk._solve_stack(Ps, Qs, cfg)
+    _assert_same(stacked, sk.solve(Ps[0], Qs[0], cfg))
+
+
+@pytest.mark.parametrize("eps", [0.5, 2.0])
+def test_stacked_solved_costs_match_lone_ones(eps):
+    Ps, Qs = _problems(4, seed=77)
+    cfg = SolverConfig(eps=eps)
+    for stacked, P, Q in zip(sk._solved_costs(Ps, Qs, cfg), Ps, Qs):
+        pair, report, value = sk._solved_cost(P, Q, cfg)
+        assert stacked[2] == value
+        _assert_same(stacked[:2], (pair, report))
