@@ -21,10 +21,11 @@ bound that holds for any factor; see its docstring. :func:`_solve_stack`
 runs the sweeps of several problems of one size together: each kernel
 half-step is one ``einsum`` over the stacked kernels, which gives every
 problem the sums of its own call, while each problem keeps its own factor,
-residual and sweep count and leaves the stack at the sweep where it meets
-tol. So each result is that of a lone solve, bit for bit, and :func:`solve`
-is a stack of one. A problem whose kernel underflows runs its later
-half-steps on cost slabs, one problem at a time, inside the stack.
+residual and sweep count. A problem's pair is copied out at the sweep where
+it meets tol; it keeps its row, and no longer moves, until the stack is
+done. So each result is that of a lone solve, bit for bit, and
+:func:`solve` is a stack of one. A problem whose kernel underflows runs its
+later half-steps on cost slabs, one problem at a time, inside the stack.
 """
 
 from __future__ import annotations
@@ -255,11 +256,10 @@ class _Updates:
 
     The problems share their sizes (n x m) and eps; a lone problem may be
     given as its two measures. A dense stack holds one n x m operator per
-    problem, the kernel ``exp(-C/eps)``, in a slot of one stack array, and
-    runs a half-step as one kernel product over the live slots, a range of
-    the stack (at first every problem, in order). Row i of a half-step's
-    argument and result belongs to live slot i; with one live slot the rows
-    may also be 1-d. A blocked problem rebuilds cost slabs of at most
+    problem, the kernel ``exp(-C/eps)``, stacked in one array, and runs a
+    half-step as one kernel product over the stack. Row r of a half-step's
+    argument and result belongs to problem r; a stack of one may also run
+    1-d rows. A blocked problem rebuilds cost slabs of at most
     ``dense_entry_limit`` entries on every half-step, and so does a dense
     one from its first kernel sum below ``_KERNEL_FLOOR`` on; the kernels are
     dropped once no problem reads them. ``paths[r]`` is problem r's
@@ -282,87 +282,39 @@ class _Updates:
         dense = self.a.shape[1] * self.b.shape[1] <= dense_entry_limit
         self.paths = ["kernel" if dense else "blocked"] * len(Ps)
         self._log = [not dense] * len(Ps)  # problems on cost slabs
+        self._mixed = not dense  # some problem is on cost slabs
         self._K = _kernel_stack(Ps, Qs, eps) if dense else None
-        self._slots = list(range(len(Ps)))  # the problem in each slot
-        self._arm(0, len(Ps))
-
-    def _arm(self, lo: int, hi: int) -> None:
-        """Point the half-steps at the live slots ``lo`` to ``hi - 1``."""
-        self._lo, self._live = lo, self._slots[lo:hi]
-        pick = lo if hi - lo == 1 else slice(lo, hi)
-        slots = self._live[0] if hi - lo == 1 else self._live
-        self._log_w = (self.log_b[slots], self.log_a[slots])
-        self._ops = None
-        if self._K is not None:
-            K = self._K[pick]
-            self._ops = (K, K.swapaxes(-1, -2))
-        self._mixed = any(self._log[r] for r in self._live)
-
-    def _swap(self, i: int, j: int) -> None:
-        slots = self._slots
-        slots[i], slots[j] = slots[j], slots[i]
-        if self._K is not None:
-            row = self._K[i].copy()
-            self._K[i] = self._K[j]
-            self._K[j] = row
-
-    def retire(self, left: list) -> list:
-        """Take the live rows ``left`` off the live slots. Rows at either end
-        of the live range just narrow it; one inside swaps slots with the
-        last live row first, so no kernel is copied whole. Returns ``order``:
-        live row i now holds what live row ``order[i]`` held."""
-        order, gone, lo = list(range(len(self._live))), set(left), self._lo
-        while order:
-            if order[0] in gone:
-                order.pop(0)
-                lo += 1
-            elif order[-1] in gone:
-                order.pop()
-            else:
-                inner = next((k for k, i in enumerate(order) if i in gone), None)
-                if inner is None:
-                    break
-                self._swap(lo + inner, lo + len(order) - 1)
-                order[inner] = order.pop()
-        self._arm(lo, lo + len(order))
-        return order
-
-    def restore(self) -> None:
-        """Every problem live again, each in its own slot, in stack order."""
-        for i in range(len(self._slots)):
-            while self._slots[i] != i:
-                self._swap(i, self._slots[i])
-        self._arm(0, len(self._slots))
+        one = 0 if len(Ps) == 1 else slice(None)  # a stack of one as its lone operator
+        self._log_w = (self.log_b[one], self.log_a[one])
+        self._ops = (self._K[one], self._K[one].swapaxes(-1, -2)) if dense else None
 
     def _half_step(self, pot: np.ndarray, side: int) -> np.ndarray:
         """:func:`_soft_min` of each row of ``pot`` along the rows of its
         problem's cost (side 0) or of its transpose (side 1)."""
-        if self._ops is not None and not self._mixed:
+        if not self._mixed:
             step = _kernel_soft_min(self._ops[side], pot, self._log_w[side], self.eps)
             if step is not None:
                 return step[0]
         # some problem is, or now goes, on cost slabs: one problem at a time
-        pots = pot.reshape(len(self._live), -1)
+        pots = pot.reshape(len(self.paths), -1)
         log_ws = (self.log_b, self.log_a)[side]
-        out = np.empty((len(self._live), self._sizes[side]))
-        for i, r in enumerate(self._live):
-            if not self._log[r]:
-                step = _kernel_soft_min(self._K[self._lo + i].swapaxes(0, side), pots[i],
-                                        log_ws[r], self.eps)
+        out = np.empty((len(self.paths), self._sizes[side]))
+        for r, log in enumerate(self._log):
+            if not log:
+                step = _kernel_soft_min(self._K[r].swapaxes(0, side), pots[r], log_ws[r], self.eps)
                 if step is not None:
-                    out[i] = step[0]
+                    out[r] = step[0]
                     continue
                 self._log[r], self.paths[r] = True, "kernel+log"
         if all(self._log):
             self._K = self._ops = None  # no problem reads a kernel any more
-        for i, r in enumerate(self._live):
-            if self._log[r]:
+        for r, log in enumerate(self._log):
+            if log:
                 rows, cols = self._points[r][side]
                 step = max(1, self._limit // cols.shape[0])
                 for start in range(0, rows.shape[0], step):
                     k = slice(start, start + step)
-                    out[i, k] = _soft_min(pots[i], log_ws[r], half_sq_cost(rows[k], cols),
-                                          self.eps)
+                    out[r, k] = _soft_min(pots[r], log_ws[r], half_sq_cost(rows[k], cols), self.eps)
         self._mixed = True
         return out.reshape(pot.shape[:-1] + out.shape[1:])
 
@@ -507,67 +459,63 @@ def _solve_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int = DENSE_ENTRY
     """:func:`solve` of each problem ``(Ps[r], Qs[r])`` of a stack, in one sweep loop.
 
     The problems share their sizes. Each keeps its own relaxation, residual
-    and sweep count, and leaves the stack at the sweep where it meets tol,
-    so its result is that of a lone :func:`solve`, bit for bit:
-    ``(pair, report)``, or the :class:`NotConverged` a lone solve raises
-    (returned, not raised).
+    and sweep count. At the sweep where it meets tol its pair is copied out;
+    from then on its factor is 0 and its g row that sweep's ``g_from(f)``, so
+    its later half-steps are those of a lone solve's post-solve checks (up to
+    their shift) and its result is that of a lone :func:`solve`, bit for bit,
+    path included: ``(pair, report)``, or the :class:`NotConverged` a lone
+    solve raises (returned, not raised).
     """
     upd = _Updates(Ps, Qs, cfg.eps, dense_entry_limit)
     eps, tol, count = cfg.eps, cfg.tol, len(Ps)
-    rows = np.arange(count)  # the problem of each row still sweeping
     f, g = np.zeros((count, Ps[0].n)), np.zeros((count, Qs[0].n))
     F, G = np.empty_like(f), np.empty_like(g)  # each problem's pair as it left
     if count == 1:  # a stack of one sweeps its 1-d rows: fewer cycles per numpy call
         f, g = f[0], g[0]
-    relax = [_Relaxation() for _ in rows]
+    relax = [_Relaxation() for _ in range(count)]
     sweeps, factors, residuals, converged = ([None] * count for _ in range(4))
     for iterations in range(1, cfg.max_iter + 1):
-        w = [r.w for r in relax]
-        relaxed = w.count(1.0) < len(w)
+        w = [r.w if k is None else 0.0 for r, k in zip(relax, sweeps)]  # 0: problem has left
+        relaxed = w.count(1.0) < count
         # plain sweeps (w = 1) keep the unrelaxed arithmetic bit for bit, also
         # as rows of a relaxed stack
-        plain = [x == 1.0 for x in w] if relaxed and 1.0 in w else None
+        plain = [i for i, x in enumerate(w) if x == 1.0] if relaxed else []
         f_hat = upd.f_from(g)
         if relaxed:
-            w_col = w[0] if len(w) == 1 else np.array(w)[:, None]  # same bits; a float is cheaper
+            w_col = w[0] if count == 1 else np.array(w)[:, None]  # same bits; a float is cheaper
             step = f_hat - f
             f = f + w_col * step
             f_move = [0.0 if x == 1.0 else (x - 1.0) * m for x, m in zip(w, _row_max(step))]
             if plain:
                 f[plain] = f_hat[plain]
         else:
-            f, f_move = f_hat, [0.0] * len(w)
+            f, f_move = f_hat, [0.0] * count
         g_hat = upd.g_from(f)
         step = g_hat - g
         left = []
-        for i, (r, f_m, g_m) in enumerate(zip(relax, f_move, _row_max(step))):
+        for i, (x, f_m, g_m) in enumerate(zip(w, f_move, _row_max(step))):
+            if not x:
+                continue
             moved = g_m / eps
             residual = moved + f_m / eps
-            if residual <= tol or iterations == cfg.max_iter:  # problem rows[i] leaves
-                k = rows[i]
-                sweeps[k], factors[k], residuals[k] = iterations, w[i], residual
-                converged[k] = residual <= tol
+            if residual <= tol or iterations == cfg.max_iter:  # problem i leaves
+                sweeps[i], factors[i], residuals[i] = iterations, x, residual
+                converged[i] = residual <= tol
                 left.append(i)
             else:
-                r.update(moved)
+                relax[i].update(moved)
         if left:
-            F[rows[left]] = f.reshape(len(w), -1)[left]
-            G[rows[left]] = g_hat.reshape(len(w), -1)[left]
-            if len(left) == len(w):
+            F[left] = f.reshape(count, -1)[left]
+            G[left] = g_hat.reshape(count, -1)[left]
+            if None not in sweeps:
                 break
-            order = upd.retire(left)
-            rows, f, g, g_hat, step = (a[order] for a in (rows, f, g, g_hat, step))
-            relax, w = [relax[i] for i in order], [w[i] for i in order]
-            if relaxed:
-                w_col = np.array(w)[:, None]
-                plain = [x == 1.0 for x in w] if 1.0 in w else None
         if relaxed:
             g = g + w_col * step
+            plain += left
             if plain:
                 g[plain] = g_hat[plain]
         else:
             g = g_hat
-    upd.restore()
     F, G = _shift(F, G, upd.a, upd.b, Normalization.EQUAL_MEANS)
     optimality, f_hat = _two_sided_residual(upd, F, G)
     dual = _dual_values(upd, F, G, f_hat).tolist()

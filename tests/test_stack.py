@@ -1,10 +1,13 @@
 """A stack of problems solved in one sweep loop gives each problem's lone solve.
 
 ``sinkhorn._solve_stack`` runs the sweeps of several same-sized problems
-together; a problem leaves the stack at the sweep where it meets tol. Its
-pair and report, or its ``NotConverged``, must be those of a lone
-``solve``, bit for bit, on every half-step path.
+together; a problem's pair is taken at the sweep where it meets tol, and
+the problem keeps its place until the stack is done. Its pair and report,
+or its ``NotConverged``, must be those of a lone ``solve``, bit for bit, on
+every half-step path.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,15 +73,27 @@ def test_kernel_stack_matches_lone_solves(seed, eps):
     assert {r.path for r in reports} == {"kernel"}
 
 
-def test_stack_with_one_underflowing_problem_matches_lone_solves():
+# spread 1: the underflowing problem leaves last (38 sweeps, against 14, 15
+# and 21); spread 6 widens the other Ps, which then take 46, 46 and 68 sweeps,
+# so it leaves first and its finished rows run through the per-problem
+# half-steps while the stack sweeps on
+@pytest.mark.parametrize("spread, first", [(1.0, False), (6.0, True)],
+                         ids=["leaves-last", "leaves-first"])
+def test_stack_with_one_underflowing_problem_matches_lone_solves(spread, first):
     # one atom of the third P sits 31 away from every atom of its Q: its kernel
     # row sum is below _KERNEL_FLOOR (0.5 * 31**2 = 480.5 > 460.5) at eps = 1
     Ps, Qs = _problems(4, seed=73)
     far = Ps[2].points.copy()
     far[0] += 31.0
+    Ps = [ms.DiscreteMeasure(P.points * spread, P.weights) for P in Ps]
     Ps[2] = ms.DiscreteMeasure(far, Ps[2].weights)
     reports = _check_stack(Ps, Qs, SolverConfig(eps=1.0))
     assert [r.path for r in reports] == ["kernel", "kernel", "kernel+log", "kernel"]
+    others = [r.iterations for k, r in enumerate(reports) if k != 2]
+    if first:
+        assert reports[2].iterations < min(others)
+    else:
+        assert reports[2].iterations > max(others)
 
 
 def test_blocked_stack_matches_lone_solves():
@@ -97,6 +112,25 @@ def test_budget_run_out_inside_a_stack_matches_lone_solves():
     assert any(failed) and not all(failed)
     for s, (P, Q) in zip(stacked, zip(Ps, Qs)):
         _assert_same(s, _lone(P, Q, cfg))
+
+
+# 13 is the chunk the harness stacks at 100 x 100; a copy of the live kernels
+# when the first problem leaves would hold about 2 * count kernels there
+@pytest.mark.parametrize("count, n", [(13, 100), (2, 250)])
+def test_stack_memory_is_one_kernel_stack_and_one_build(count, n):
+    """The traced peak is the kernel stack, one kernel being built and one
+    cost slab, plus numpy's two ufunc buffers (``half_sq_cost``'s broadcast
+    subtract takes them) and 64 KiB for the stack's rows."""
+    Ps, Qs = _problems(count, n=n, m=n, seed=78)
+    tracemalloc.start()
+    try:
+        stacked = sk._solve_stack(Ps, Qs, SolverConfig(eps=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({report.iterations for _, report in stacked}) > 1  # leaves at different sweeps
+    slack = 2 * 8 * np.getbufsize() + (64 << 10)
+    assert peak <= (count + 1) * n * n * 8 + 8 * sk._COST_SLAB_ENTRIES + slack
 
 
 def test_stack_of_one_is_solve():
