@@ -180,10 +180,11 @@ def _extension_tables(values: np.ndarray, opposite: DiscreteMeasure, eps: float,
     extension. ``(K, M) = _kernel_tables(pts, opposite.points, ...)``.
 
     The values are one kernel half-step and the moments one product of ``K``
-    with the scaled monomials, divided by the row sums. An extension with a
-    row sum below ``_KERNEL_FLOOR`` has both redone in the log domain, on a
-    cost built here; ``K`` is never written. Each extension's tables are
-    those of its own stack of one, bit for bit.
+    with the scaled monomials, divided by the row sums. A row sum below
+    ``_KERNEL_FLOOR`` follows :func:`_kernel_soft_min`'s rule: an extension
+    alone has both redone in the log domain, on a cost built here; ``K`` is
+    never written. Each extension's tables are those of its own stack of
+    one, bit for bit.
     """
     log_w = _log_weights(opposite.weights)
     step = _kernel_soft_min(K, values, log_w, eps)

@@ -24,8 +24,8 @@ problem the sums of its own call, while each problem keeps its own factor,
 residual and sweep count. A problem's pair is copied out at the sweep where
 it meets tol; it keeps its row, and no longer moves, until the stack is
 done. So each result is that of a lone solve, bit for bit, and
-:func:`solve` is a stack of one. A problem whose kernel underflows runs its
-later half-steps on cost slabs, one problem at a time, inside the stack.
+:func:`solve` is a stack of one. Only a lone problem leaves its kernel; a
+stack that would leave its kernels is solved again one problem at a time.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class TransportPlan:
 class SolveReport:
     """What one :func:`solve` did.
 
-    Only :func:`solve` builds reports. ``optimality_residual`` is the
+    Only :func:`_solve_stack` builds reports. ``optimality_residual`` is the
     two-sided residual of the returned pair, as :func:`optimality_residual`
     defines it. ``path`` names the half-step arithmetic: ``"kernel"``,
     ``"kernel+log"`` (a kernel sum underflowed and the rest of the solve ran
@@ -188,8 +188,8 @@ def _kernel_soft_min(K: np.ndarray, pot: np.ndarray, log_w: np.ndarray, eps: flo
     ``(values, u, s)``: the scalings ``u = exp(log_w + pot/eps - top)``,
     max-shifted by ``top = max(log_w + pot/eps)`` per problem, the row sums
     ``s = K u`` and ``values = -eps * (log s + top)``; or ``None`` when a row
-    sum of any problem is below ``_KERNEL_FLOOR``, where the caller redoes
-    the step in the log domain.
+    sum of any problem is below ``_KERNEL_FLOOR``. Then a stack redoes each
+    problem alone; a lone caller redoes the step in the log domain.
     """
     t = pot / eps
     t += log_w
@@ -241,29 +241,22 @@ def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
     return np.exp(K, out=K)
 
 
-def _kernel_stack(Ps, Qs, eps: float) -> np.ndarray:
-    """The Gibbs kernel of each problem, stacked; a stack of one is its kernel."""
-    if len(Ps) == 1:
-        return _gibbs_kernel(Ps[0].points, Qs[0].points, eps)[None]
-    K = np.empty((len(Ps), Ps[0].n, Qs[0].n))
-    for k, P, Q in zip(K, Ps, Qs):
-        k[...] = _gibbs_kernel(P.points, Q.points, eps)
-    return K
+class _Unstackable(Exception):
+    """A stack of more than one problem cannot stay on its kernels."""
 
 
 class _Updates:
     """Half-step maps of the dual iteration, over a stack of problems.
 
     The problems share their sizes (n x m) and eps; a lone problem may be
-    given as its two measures. A dense stack holds one n x m operator per
-    problem, the kernel ``exp(-C/eps)``, stacked in one array, and runs a
-    half-step as one kernel product over the stack. Row r of a half-step's
-    argument and result belongs to problem r; a stack of one may also run
-    1-d rows. A blocked problem rebuilds cost slabs of at most
-    ``dense_entry_limit`` entries on every half-step, and so does a dense
-    one from its first kernel sum below ``_KERNEL_FLOOR`` on; the kernels are
-    dropped once no problem reads them. ``paths[r]`` is problem r's
-    :class:`SolveReport` path so far.
+    given as its two measures. A stack holds each problem's Gibbs kernel
+    ``exp(-C/eps)`` in one array and runs a half-step as one kernel product
+    over it; row r of a half-step's argument and result belongs to problem
+    r, and a stack of one may also run 1-d rows. Only a lone problem leaves
+    its kernel (:func:`_kernel_soft_min`): above ``dense_entry_limit``
+    entries, or from its first kernel sum below ``_KERNEL_FLOOR`` on, it
+    rebuilds cost slabs of at most that many entries on every half-step.
+    ``path`` is its :class:`SolveReport` path so far.
     """
 
     def __init__(self, Ps, Qs, eps: float, dense_entry_limit: int = DENSE_ENTRY_LIMIT):
@@ -277,46 +270,38 @@ class _Updates:
         self.log_a, self.log_b = _log_weights(self.a), _log_weights(self.b)
         self.eps = eps
         self._limit = dense_entry_limit
-        self._points = [((P.points, Q.points), (Q.points, P.points)) for P, Q in zip(Ps, Qs)]
-        self._sizes = (self.a.shape[1], self.b.shape[1])
         dense = self.a.shape[1] * self.b.shape[1] <= dense_entry_limit
-        self.paths = ["kernel" if dense else "blocked"] * len(Ps)
-        self._log = [not dense] * len(Ps)  # problems on cost slabs
-        self._mixed = not dense  # some problem is on cost slabs
-        self._K = _kernel_stack(Ps, Qs, eps) if dense else None
-        one = 0 if len(Ps) == 1 else slice(None)  # a stack of one as its lone operator
+        if not dense and len(Ps) > 1:
+            raise _Unstackable
+        self.path = "kernel" if dense else "blocked"
+        one = 0 if len(Ps) == 1 else slice(None)  # a stack of one runs as its lone problem
         self._log_w = (self.log_b[one], self.log_a[one])
-        self._ops = (self._K[one], self._K[one].swapaxes(-1, -2)) if dense else None
+        self._points = ((Ps[0].points, Qs[0].points), (Qs[0].points, Ps[0].points))  # lone only
+        if dense and len(Ps) == 1:
+            K = _gibbs_kernel(Ps[0].points, Qs[0].points, eps)
+        elif dense:
+            K = np.empty((len(Ps), self.a.shape[1], self.b.shape[1]))
+            for k, P, Q in zip(K, Ps, Qs):
+                k[...] = _gibbs_kernel(P.points, Q.points, eps)
+        self._ops = (K, K.swapaxes(-1, -2)) if dense else None
 
     def _half_step(self, pot: np.ndarray, side: int) -> np.ndarray:
         """:func:`_soft_min` of each row of ``pot`` along the rows of its
         problem's cost (side 0) or of its transpose (side 1)."""
-        if not self._mixed:
+        if self._ops is not None:
             step = _kernel_soft_min(self._ops[side], pot, self._log_w[side], self.eps)
             if step is not None:
                 return step[0]
-        # some problem is, or now goes, on cost slabs: one problem at a time
-        pots = pot.reshape(len(self.paths), -1)
-        log_ws = (self.log_b, self.log_a)[side]
-        out = np.empty((len(self.paths), self._sizes[side]))
-        for r, log in enumerate(self._log):
-            if not log:
-                step = _kernel_soft_min(self._K[r].swapaxes(0, side), pots[r], log_ws[r], self.eps)
-                if step is not None:
-                    out[r] = step[0]
-                    continue
-                self._log[r], self.paths[r] = True, "kernel+log"
-        if all(self._log):
-            self._K = self._ops = None  # no problem reads a kernel any more
-        for r, log in enumerate(self._log):
-            if log:
-                rows, cols = self._points[r][side]
-                step = max(1, self._limit // cols.shape[0])
-                for start in range(0, rows.shape[0], step):
-                    k = slice(start, start + step)
-                    out[r, k] = _soft_min(pots[r], log_ws[r], half_sq_cost(rows[k], cols), self.eps)
-        self._mixed = True
-        return out.reshape(pot.shape[:-1] + out.shape[1:])
+            if len(self.a) > 1:
+                raise _Unstackable
+            self._ops, self.path = None, "kernel+log"
+        rows, cols = self._points[side]
+        out = np.empty(pot.shape[:-1] + rows.shape[:1])
+        step = max(1, self._limit // cols.shape[0])
+        for start in range(0, rows.shape[0], step):
+            k = slice(start, start + step)
+            out[..., k] = _soft_min(pot, self._log_w[side], half_sq_cost(rows[k], cols), self.eps)
+        return out
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
         return self._half_step(g, 0)
@@ -464,8 +449,18 @@ def _solve_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int = DENSE_ENTRY
     its later half-steps are those of a lone solve's post-solve checks (up to
     their shift) and its result is that of a lone :func:`solve`, bit for bit,
     path included: ``(pair, report)``, or the :class:`NotConverged` a lone
-    solve raises (returned, not raised).
+    solve raises (returned, not raised). A stack of more than one that would
+    leave its kernels (:class:`_Updates`) is solved again one problem at a time.
     """
+    try:
+        return _sweep_stack(Ps, Qs, cfg, dense_entry_limit)
+    except _Unstackable:
+        pass  # leaving the handler drops the traceback, and the stack's kernels with it
+    return [_sweep_stack((P,), (Q,), cfg, dense_entry_limit)[0] for P, Q in zip(Ps, Qs)]
+
+
+def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
+    """The sweep loop of :func:`_solve_stack`; raises :class:`_Unstackable`."""
     upd = _Updates(Ps, Qs, cfg.eps, dense_entry_limit)
     eps, tol, count = cfg.eps, cfg.tol, len(Ps)
     f, g = np.zeros((count, Ps[0].n)), np.zeros((count, Qs[0].n))
@@ -523,7 +518,7 @@ def _solve_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int = DENSE_ENTRY
     for r in range(count):
         pair = PotentialPair(F[r], G[r], eps, Normalization.EQUAL_MEANS)
         report = SolveReport(sweeps[r], residuals[r], dual[r], converged[r], optimality[r],
-                             upd.paths[r], factors[r])
+                             upd.path, factors[r])
         out.append((pair, report) if report.converged else NotConverged(
             f"residual {report.final_residual:.3e} above tol {cfg.tol:.3e} "
             f"after {report.iterations} iterations",

@@ -535,9 +535,13 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
             delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
             est = pot.holder_norm(delta, order, grid)
             assert stat([ms.SplitMix64(seed)], n) == [(est.value**2, est.order_terms[0] ** 2)]
-        # a chunk of replicates gives each one's lone value
-        chunk = stat([ms.SplitMix64(seed) for seed in seeds], n)
-        assert chunk == [stat([ms.SplitMix64(seed)], n)[0] for seed in seeds]
+        # a chunk of replicates gives each one's lone value, also when every
+        # kernel sum underflows and the stack of extensions redoes each alone
+        for floor in (sk._KERNEL_FLOOR, np.inf):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(sk, "_KERNEL_FLOOR", floor)
+                chunk = stat([ms.SplitMix64(seed) for seed in seeds], n)
+                assert chunk == [stat([ms.SplitMix64(seed)], n)[0] for seed in seeds]
 
 
 def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):

@@ -73,13 +73,13 @@ def test_kernel_stack_matches_lone_solves(seed, eps):
     assert {r.path for r in reports} == {"kernel"}
 
 
-# spread 1: the underflowing problem leaves last (38 sweeps, against 14, 15
-# and 21); spread 6 widens the other Ps, which then take 46, 46 and 68 sweeps,
-# so it leaves first and its finished rows run through the per-problem
-# half-steps while the stack sweeps on
+# spread 1: the underflowing problem would leave last (38 sweeps, against 14,
+# 15 and 21); spread 6 widens the other Ps, which then take 46, 46 and 68
+# sweeps, so it would leave first; either way the stack is solved again one
+# problem at a time
 @pytest.mark.parametrize("spread, first", [(1.0, False), (6.0, True)],
                          ids=["leaves-last", "leaves-first"])
-def test_stack_with_one_underflowing_problem_matches_lone_solves(spread, first):
+def test_stack_with_one_underflowing_problem_matches_lone_solves(spread, first, monkeypatch):
     # one atom of the third P sits 31 away from every atom of its Q: its kernel
     # row sum is below _KERNEL_FLOOR (0.5 * 31**2 = 480.5 > 460.5) at eps = 1
     Ps, Qs = _problems(4, seed=73)
@@ -87,13 +87,25 @@ def test_stack_with_one_underflowing_problem_matches_lone_solves(spread, first):
     far[0] += 31.0
     Ps = [ms.DiscreteMeasure(P.points * spread, P.weights) for P in Ps]
     Ps[2] = ms.DiscreteMeasure(far, Ps[2].weights)
-    reports = _check_stack(Ps, Qs, SolverConfig(eps=1.0))
+    cfg = SolverConfig(eps=1.0)
+    reports = _check_stack(Ps, Qs, cfg)
     assert [r.path for r in reports] == ["kernel", "kernel", "kernel+log", "kernel"]
     others = [r.iterations for k, r in enumerate(reports) if k != 2]
     if first:
         assert reports[2].iterations < min(others)
     else:
         assert reports[2].iterations > max(others)
+    # cost builds, kernels included (_gibbs_kernel looks half_sq_cost up in
+    # the module): the stack builds its kernels, then at most what its
+    # problems' lone solves build
+    builds = []
+    build = sk.half_sq_cost
+    monkeypatch.setattr(sk, "half_sq_cost", lambda X, Y: builds.append(1) or build(X, Y))
+    sk._solve_stack(Ps, Qs, cfg)
+    stacked = len(builds)
+    for P, Q in zip(Ps, Qs):
+        _lone(P, Q, cfg)
+    assert stacked <= len(Ps) + len(builds) - stacked
 
 
 def test_blocked_stack_matches_lone_solves():
