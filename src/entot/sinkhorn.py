@@ -13,19 +13,20 @@ kernel half-step is ``_kernel_soft_min`` and every log-domain one
 ``_soft_min``, on the rows of one cost slab at a time; the potential
 extension runs the same pair, on a kernel from ``_gibbs_kernel``. Weighted
 sums use ``einsum``, never BLAS, so no result depends on the BLAS thread
-count.
+count; the only LAPACK call solves 5 x 5 systems, one at a time.
 
-:func:`solve` overrelaxes the alternating half-steps, with a factor set from
-the observed contraction rate (Young's SOR factor), and stops on a residual
-bound that holds for any factor; see its docstring. :func:`_solve_stack`
-runs the sweeps of several problems of one size together: each kernel
-half-step is one ``einsum`` over the stacked kernels, which gives every
-problem the sums of its own call, while each problem keeps its own factor,
-residual and sweep count. A problem's pair is copied out at the sweep where
-it meets tol; it keeps its row, and no longer moves, until the stack is
-done. So each result is that of a lone solve, bit for bit, and
-:func:`solve` is a stack of one. Only a lone problem leaves its kernel; a
-stack that would leave its kernels is solved again one problem at a time.
+:func:`solve` iterates the map ``f -> f_from(g_from(f))`` with safeguarded
+Anderson mixing and stops when the map moves f by at most ``tol * eps``,
+which is exactly the two-sided residual of the pair it returns; see its
+docstring. :func:`_solve_stack` runs the maps of several problems of one
+size together: each kernel half-step is one ``einsum`` over the stacked
+kernels, which gives every problem the sums of its own call, while each
+problem keeps its own history, residual and map count. A problem's pair is
+copied out at the map where it meets tol; it keeps its row, and no longer
+moves, until the stack is done. So each result is that of a lone solve, bit
+for bit, and :func:`solve` is a stack of one. Only a lone problem leaves its
+kernel; a stack that would leave its kernels is solved again one problem at
+a time.
 """
 
 from __future__ import annotations
@@ -130,8 +131,10 @@ class SolveReport:
     defines it. ``path`` names the half-step arithmetic: ``"kernel"``,
     ``"kernel+log"`` (a kernel sum underflowed and the rest of the solve ran
     on cost slabs, log domain) or ``"blocked"`` (cost rebuilt in slabs, log
-    domain, from the first half-step). ``relaxation`` is the overrelaxation
-    factor of the last sweep (1 for a plain sweep).
+    domain, from the first half-step). ``iterations`` counts evaluations of
+    the map ``f -> f_from(g_from(f))``, two half-steps each; the last one
+    gives ``final_residual``, which is also ``optimality_residual``, and the
+    dual value.
     """
 
     iterations: int
@@ -140,7 +143,6 @@ class SolveReport:
     converged: bool
     optimality_residual: float
     path: str
-    relaxation: float
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -252,10 +254,10 @@ class _Updates:
     given as its two measures. A stack holds each problem's Gibbs kernel
     ``exp(-C/eps)`` in one array and runs a half-step as one kernel product
     over it; row r of a half-step's argument and result belongs to problem
-    r, and a stack of one may also run 1-d rows. Only a lone problem leaves
-    its kernel (:func:`_kernel_soft_min`): above ``dense_entry_limit``
-    entries, or from its first kernel sum below ``_KERNEL_FLOOR`` on, it
-    rebuilds cost slabs of at most that many entries on every half-step.
+    r. Only a lone problem leaves its kernel (:func:`_kernel_soft_min`):
+    above ``dense_entry_limit`` entries, or from its first kernel sum below
+    ``_KERNEL_FLOOR`` on, it rebuilds cost slabs of at most that many entries
+    on every half-step.
     ``path`` is its :class:`SolveReport` path so far.
     """
 
@@ -274,8 +276,7 @@ class _Updates:
         if not dense and len(Ps) > 1:
             raise _Unstackable
         self.path = "kernel" if dense else "blocked"
-        one = 0 if len(Ps) == 1 else slice(None)  # a stack of one runs as its lone problem
-        self._log_w = (self.log_b[one], self.log_a[one])
+        self._log_w = (self.log_b, self.log_a)
         self._points = ((Ps[0].points, Qs[0].points), (Qs[0].points, Ps[0].points))  # lone only
         if dense and len(Ps) == 1:
             K = _gibbs_kernel(Ps[0].points, Qs[0].points, eps)
@@ -346,88 +347,35 @@ def _shift(f: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray,
     return f + c[:, None], g - c[:, None]
 
 
-class _Relaxation:
-    """Overrelaxation factor ``w`` of :func:`solve`, updated after each sweep.
-
-    ``w`` is 1 until three consecutive ratios ``rho`` of the sweep residual
-    lie in (0, 1) and agree to within ``0.1 * (1 - rho)``; then it is Young's
-    SOR factor ``2 / (1 + sqrt(1 - rho))``. It returns to 1, and ``rho`` is
-    estimated again, when a relaxed residual exceeds ``1 / (2 - w)`` times the
-    first one at that ``w`` (more than the transient growth of SOR near its
-    optimal factor), or when relaxed ratios settle above ``rho`` (the rate was
-    estimated in a fast transient and relaxation is slower than plain sweeps).
-    It also returns to 1 when a relaxed stretch has run as many sweeps as the
-    solve ran before it and its residual is still not below the stretch's
-    first (on a residual plateau rho reads near 1, ``w`` near 2, and the
-    growth bound ``1 / (2 - w)`` never fires); then ``w`` stays 1 for at
-    least as many sweeps as that stretch ran, so a stalled stretch never
-    outlasts the plain sweeps after it.
-    """
-
-    def __init__(self):
-        self.w = 1.0
-        self._rho = 0.0
-        self._ratios: list[float] = []  # residual ratios at the current w
-        self._last = math.inf  # previous residual at the current w
-        self._first = math.inf  # first residual at the current w
-        self._sweeps = 0  # updates so far
-        self._start = 0  # updates before the current w was set
-        self._hold = 0  # no relaxing before this many updates
-
-    def update(self, residual: float) -> None:
-        self._sweeps += 1
-        if self._last == math.inf:
-            self._first = residual
-        elif self._last > 0.0:
-            self._ratios = (self._ratios + [residual / self._last])[-3:]
-        self._last = residual
-        ratios = self._ratios
-        rate = ratios[-1] if ratios else 0.0
-        steady = (len(ratios) == 3 and 0.0 < min(ratios) and max(ratios) < 1.0
-                  and max(ratios) - min(ratios) <= 0.1 * (1.0 - rate))
-        w = self.w
-        if w == 1.0 and steady and self._sweeps >= self._hold:
-            self._rho = rate
-            w = 2.0 / (1.0 + math.sqrt(1.0 - rate))
-        elif w > 1.0 and (residual > self._first / (2.0 - w) or steady and rate > self._rho):
-            w = 1.0
-        elif w > 1.0 and self._sweeps >= 2 * self._start and residual >= self._first:
-            w, self._hold = 1.0, 2 * self._sweeps - self._start
-        if w != self.w:
-            self.w, self._ratios, self._last = w, [], math.inf
-            self._start = self._sweeps
-
-
 def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
           dense_entry_limit: int = DENSE_ENTRY_LIMIT):
-    """Run overrelaxed alternating dual updates until the marginal residual is met.
+    """Iterate the dual map with Anderson mixing until the marginal residual is met.
 
-    One iteration (sweep) moves f toward ``f_from(g)``, then g toward
-    ``g_from(f)``: ``f <- f + w*(f_from(g) - f)``, ``g <- g + w*(g_from(f) - g)``.
-    The sweep residual is ``max |g_from(f) - g| / eps``. The factor ``w`` is 1
-    until three consecutive ratios ``rho`` of the sweep residual lie in (0, 1)
-    and agree to within ``0.1 * (1 - rho)``; then ``w = 2 / (1 + sqrt(1 - rho))``
-    (Young's SOR factor, with ``rho`` the Gauss-Seidel rate ``mu**2``). If the
-    relaxed residual grows past its transient bound, settles to a rate no
-    better than ``rho``, or is no lower after as many sweeps as the solve ran
-    before relaxing, ``w`` returns to 1 and ``rho`` is estimated again
-    (:class:`_Relaxation`); after that last case, a stall, ``w`` stays 1 for
-    at least as many sweeps as the stalled stretch ran.
+    The map is ``T(f) = f_from(g_from(f))``, one alternating sweep (two
+    half-steps); ``report.iterations`` counts its evaluations. From ``f = 0``
+    each step maps the current point ``x`` and mixes: with the differences
+    ``dR`` of the residuals ``T(x) - x`` and ``dT`` of the images ``T(x)``
+    between the last ``_DEPTH + 1`` kept points, the next point is
+    ``T(x) - dT gamma``, where ``gamma`` minimises ``|T(x) - x - dR gamma|``
+    (Anderson mixing; Walker & Ni, SIAM J. Numer. Anal. 2011). Without
+    differences the step is the plain one, ``T(x)``. A mixed point is kept
+    only if its residual is below ``_KEEP`` times the smallest so far;
+    otherwise the history is cleared and the next point is ``T`` of the last
+    kept point, which starts a new history.
 
-    The solve stops once ``(max |g_from(f) - g| + (1 - 1/w) * max |f - f_prev|)
-    / eps <= cfg.tol`` and returns ``(f, g_from(f))``. At ``w = 1`` this is the
-    change in g over the sweep. For any ``w`` it bounds the two-sided residual
-    of the returned pair: its column marginals are exact, and since the soft
-    c-transform is 1-Lipschitz in the sup norm, ``|f - f_from(g_from(f))|`` is
-    at most ``|f_from(g_prev) - f| + |g_from(f) - g_prev|``, where
-    ``f_from(g_prev) - f = (1/w - 1) * (f - f_prev)``. The report's dual value
-    and two-sided optimality residual are computed on the operator the
-    iteration used; its ``relaxation`` is the factor of the last sweep.
+    The residual of a point is ``max |T(x) - x| / eps`` over the atoms of P
+    with weight. The others do not enter ``g_from``: they would only trail
+    the map by one step, and a long mixed step would be rejected for them
+    alone. The solve returns ``(x, g_from(x))`` with ``T(x)`` on those atoms,
+    so the residual is exactly the two-sided residual of the returned pair,
+    whose column marginals are exact. It stops once the residual is at most
+    ``cfg.tol``; the report's residual, two-sided optimality residual and
+    dual value are those of the last map.
 
     Returns ``(pair, report)`` with the pair normalized to equal means.
-    Raises :class:`NotConverged` (with the report and pair attached) if the
-    iteration budget runs out first. This is :func:`_solve_stack` on a stack
-    of one.
+    Raises :class:`NotConverged` (with the report and the last mapped pair
+    attached) if the map budget runs out first. This is :func:`_solve_stack`
+    on a stack of one.
     """
     return _lone(_solve_stack((P,), (Q,), cfg, dense_entry_limit))
 
@@ -441,16 +389,17 @@ def _lone(results: list):
 
 
 def _solve_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> list:
-    """:func:`solve` of each problem ``(Ps[r], Qs[r])`` of a stack, in one sweep loop.
+    """:func:`solve` of each problem ``(Ps[r], Qs[r])`` of a stack, in one map loop.
 
-    The problems share their sizes. Each keeps its own relaxation, residual
-    and sweep count. At the sweep where it meets tol its pair is copied out;
-    from then on its factor is 0 and its g row that sweep's ``g_from(f)``, so
-    its later half-steps are those of a lone solve's post-solve checks (up to
-    their shift) and its result is that of a lone :func:`solve`, bit for bit,
-    path included: ``(pair, report)``, or the :class:`NotConverged` a lone
-    solve raises (returned, not raised). A stack of more than one that would
-    leave its kernels (:class:`_Updates`) is solved again one problem at a time.
+    The problems share their sizes. Each keeps its own history, residual and
+    map count, and row r of every array is problem r's alone: the Grams of
+    all mixing problems are solved as one batch, each its own system. At the
+    map where a problem meets tol its pair is copied out; from then on its
+    point no longer moves, so its later maps repeat its last one bit for bit
+    and its result is that of a lone :func:`solve`, path included:
+    ``(pair, report)``, or the :class:`NotConverged` a lone solve raises
+    (returned, not raised). A stack of more than one that would leave its
+    kernels (:class:`_Updates`) is solved again one problem at a time.
     """
     try:
         return _sweep_stack(Ps, Qs, cfg, dense_entry_limit)
@@ -459,66 +408,92 @@ def _solve_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int = DENSE_ENTRY
     return [_sweep_stack((P,), (Q,), cfg, dense_entry_limit)[0] for P, Q in zip(Ps, Qs)]
 
 
+# Anderson mixing depth: the differences between the last this many + 1
+# kept points of a problem are mixed.
+_DEPTH = 5
+
+# Each Gram of residual differences is solved with this fraction of its
+# largest diagonal entry added to its diagonal, so a rank-deficient history
+# (fewer atoms than differences) gives a bounded least-squares solution.
+_RIDGE = 1e-12
+
+# A mixed point is kept only below this fraction of the smallest residual so
+# far. On a plateau, or after a step along the constant shift that T carries
+# over, the residual equals the smallest up to rounding; a strict "below"
+# would then keep or reject the point by its last bits, so the kernel and log
+# half-steps of one problem would take different map counts.
+_KEEP = 1 - 1e-9
+
+
 def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
-    """The sweep loop of :func:`_solve_stack`; raises :class:`_Unstackable`."""
+    """The map loop of :func:`_solve_stack`; raises :class:`_Unstackable`."""
     upd = _Updates(Ps, Qs, cfg.eps, dense_entry_limit)
-    eps, tol, count = cfg.eps, cfg.tol, len(Ps)
-    f, g = np.zeros((count, Ps[0].n)), np.zeros((count, Qs[0].n))
-    F, G = np.empty_like(f), np.empty_like(g)  # each problem's pair as it left
-    if count == 1:  # a stack of one sweeps its 1-d rows: fewer cycles per numpy call
-        f, g = f[0], g[0]
-    relax = [_Relaxation() for _ in range(count)]
-    sweeps, factors, residuals, converged = ([None] * count for _ in range(4))
+    eps, count = cfg.eps, len(Ps)
+    x = np.zeros((count, Ps[0].n))  # the points mapped next
+    t = r = x  # T and the residual T - id at each problem's last kept point
+    # their differences between consecutive kept points, map k's in slot
+    # k % _DEPTH; the last slot of dR holds r when the points are mixed
+    dT = np.zeros((count, _DEPTH, x.shape[1]))
+    dR = np.zeros((count, _DEPTH + 1, x.shape[1]))
+    recording = [False] * count  # whether the next kept point adds a difference
+    mixed = [False] * count  # whether x is a mixed point
+    best = [math.inf] * count  # smallest residual so far
+    maps, residuals = [None] * count, [None] * count
+    F, G, F_hat = np.empty_like(x), np.empty((count, Qs[0].n)), np.empty_like(x)
+    weighted = upd.a > 0  # the atoms of P that enter g_from
+    unweighted = None if weighted.all() else ~weighted
     for iterations in range(1, cfg.max_iter + 1):
-        w = [r.w if k is None else 0.0 for r, k in zip(relax, sweeps)]  # 0: problem has left
-        relaxed = w.count(1.0) < count
-        # plain sweeps (w = 1) keep the unrelaxed arithmetic bit for bit, also
-        # as rows of a relaxed stack
-        plain = [i for i, x in enumerate(w) if x == 1.0] if relaxed else []
-        f_hat = upd.f_from(g)
-        if relaxed:
-            w_col = w[0] if count == 1 else np.array(w)[:, None]  # same bits; a float is cheaper
-            step = f_hat - f
-            f = f + w_col * step
-            f_move = [0.0 if x == 1.0 else (x - 1.0) * m for x, m in zip(w, _row_max(step))]
-            if plain:
-                f[plain] = f_hat[plain]
-        else:
-            f, f_move = f_hat, [0.0] * count
-        g_hat = upd.g_from(f)
-        step = g_hat - g
-        left = []
-        for i, (x, f_m, g_m) in enumerate(zip(w, f_move, _row_max(step))):
-            if not x:
+        g = upd.g_from(x)
+        tx = upd.f_from(g)
+        rx = tx - x
+        if unweighted is not None:
+            rx[unweighted] = 0.0
+        res = [m / eps for m in _row_max(rx)]
+        slot = iterations % _DEPTH
+        np.subtract(tx, t, out=dT[:, slot])
+        np.subtract(rx, r, out=dR[:, slot])
+        keep, leave, mixing = [], [], []
+        for i in range(count):
+            if maps[i] is not None:
                 continue
-            moved = g_m / eps
-            residual = moved + f_m / eps
-            if residual <= tol or iterations == cfg.max_iter:  # problem i leaves
-                sweeps[i], factors[i], residuals[i] = iterations, x, residual
-                converged[i] = residual <= tol
-                left.append(i)
-            else:
-                relax[i].update(moved)
-        if left:
-            F[left] = f.reshape(count, -1)[left]
-            G[left] = g_hat.reshape(count, -1)[left]
-            if None not in sweeps:
+            if res[i] <= cfg.tol or iterations == cfg.max_iter:
+                leave.append(i)
+            elif not mixed[i] or res[i] < best[i] * _KEEP:
+                keep.append(i)
+                if recording[i]:
+                    mixing.append(i)
+                else:  # x starts a history: no difference
+                    dT[i, slot] = dR[i, slot] = 0.0
+                mixed[i], recording[i], best[i] = recording[i], True, min(best[i], res[i])
+            else:  # x is rejected: clear the history, map T at the last kept point
+                dT[i] = dR[i] = 0.0
+                mixed[i] = recording[i] = False
+        if leave:
+            F[leave] = np.where(weighted, x, tx)[leave]
+            G[leave], F_hat[leave] = g[leave], tx[leave]
+            for i in leave:
+                maps[i], residuals[i] = iterations, res[i]
+            if None not in maps:
                 break
-        if relaxed:
-            g = g + w_col * step
-            plain += left
-            if plain:
-                g[plain] = g_hat[plain]
-        else:
-            g = g_hat
+            keep += leave  # a problem that left keeps its point
+            tx[leave] = x[leave]
+        if len(keep) < count:
+            kept = np.zeros((count, 1), dtype=bool)
+            kept[keep] = True
+            tx, rx = np.where(kept, tx, t), np.where(kept, rx, r)
+        t, r, x = tx, rx, tx
+        if mixing:
+            rows = slice(None) if len(mixing) == count else mixing
+            dR[:, _DEPTH] = r
+            x = t.copy()
+            x[rows] = _mixed(t[rows], dT[rows], dR[rows])
+    dual = _dual_values(upd, F, G, F_hat).tolist()
     F, G = _shift(F, G, upd.a, upd.b, Normalization.EQUAL_MEANS)
-    optimality, f_hat = _two_sided_residual(upd, F, G)
-    dual = _dual_values(upd, F, G, f_hat).tolist()
     out = []
-    for r in range(count):
-        pair = PotentialPair(F[r], G[r], eps, Normalization.EQUAL_MEANS)
-        report = SolveReport(sweeps[r], residuals[r], dual[r], converged[r], optimality[r],
-                             upd.path, factors[r])
+    for i in range(count):
+        pair = PotentialPair(F[i], G[i], eps, Normalization.EQUAL_MEANS)
+        report = SolveReport(maps[i], residuals[i], dual[i], residuals[i] <= cfg.tol,
+                             residuals[i], upd.path)
         out.append((pair, report) if report.converged else NotConverged(
             f"residual {report.final_residual:.3e} above tol {cfg.tol:.3e} "
             f"after {report.iterations} iterations",
@@ -528,24 +503,33 @@ def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
     return out
 
 
+def _mixed(t: np.ndarray, dT: np.ndarray, dR: np.ndarray) -> np.ndarray:
+    """Anderson-mixed points ``t - sum_k gamma_k dT_k`` of a stack of rows.
+
+    Per row, ``gamma`` solves the normal equations of ``min |r - sum_k gamma_k
+    dR_k|``, with ``r`` in the last slot of ``dR``, and ``_RIDGE`` times the
+    Gram's largest diagonal entry added to its diagonal; empty slots are zero
+    and get ``gamma_k = 0``. Every row's system is its own, so no row's Gram
+    changes another row's result.
+    """
+    G = np.einsum("rkn,rln->rkl", dR, dR)  # the Gram, and the products with r in its last column
+    diagonal = G.reshape(len(G), -1)[:, :_DEPTH * (_DEPTH + 2):_DEPTH + 2]  # a view
+    diagonal += np.maximum(_RIDGE * np.maximum.reduce(diagonal, axis=1), _TINY)[:, None]
+    gamma = np.linalg.solve(G[:, :_DEPTH, :_DEPTH], G[:, :_DEPTH, _DEPTH:])
+    return t - np.einsum("rk,rkn->rn", gamma[..., 0], dT)
+
+
 def _row_max(x: np.ndarray) -> list:
-    """``max |x_i|`` of each row (of a 1-d ``x``, its one row), as floats."""
-    top = np.maximum.reduce(np.abs(x), axis=-1)
-    return top.tolist() if x.ndim > 1 else [float(top)]
-
-
-def _two_sided_residual(upd: _Updates, f: np.ndarray, g: np.ndarray):
-    """``(residuals, f_from(g))`` of a stack of pairs against the held operators."""
-    f_hat = upd.f_from(g)
-    rf = [x / upd.eps for x in _row_max(f - f_hat)]
-    rg = [x / upd.eps for x in _row_max(g - upd.g_from(f))]
-    return [max(x, y) for x, y in zip(rf, rg)], f_hat
+    """``max |x_i|`` of each row, as floats."""
+    return np.maximum.reduce(np.abs(x), axis=-1).tolist()
 
 
 def optimality_residual(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> float:
     """Sup norm of both sides' log marginal ratios for the implied plan."""
     _check_pair_dims(P, Q, pair)
-    return _two_sided_residual(_Updates(P, Q, pair.eps), pair.f[None], pair.g[None])[0][0]
+    upd = _Updates(P, Q, pair.eps)
+    f, g = pair.f[None], pair.g[None]
+    return max(*_row_max(f - upd.f_from(g)), *_row_max(g - upd.g_from(f))) / pair.eps
 
 
 def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> float:

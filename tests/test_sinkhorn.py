@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_plan_matches_the_log_plan_formula():
         P, Q = ms.DiscreteMeasure(X, a / a.sum()), ms.DiscreteMeasure(Y, b / b.sum())
         eps = 0.05 * 40.0 ** stream.next_float()
         f = 2.0 * stream.uniforms(n) - 1.0
-        g = sk._Updates(P, Q, eps).g_from(f)
+        g = sk._Updates(P, Q, eps).g_from(f[None])[0]  # one row: a stack of one
         C = 0.5 * np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
         with np.errstate(divide="ignore"):
             want = np.exp(np.log(P.weights)[:, None] + np.log(Q.weights)[None, :]
@@ -309,8 +310,8 @@ def test_half_sq_cost_slabs_match_per_axis_sum(n):
     assert sk.half_sq_cost(Y, X).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
-# Sweeps the plain iteration needed on the pair below (measured before
-# overrelaxation was added).
+# Maps the plain iteration needs on the pair below: f <- f_from(g_from(f))
+# from f = 0 until max |f_from(g_from(f)) - f| / eps <= 1e-9.
 _PLAIN_SWEEPS = 51
 
 
@@ -322,11 +323,6 @@ def _small_eps_gaussian_solve(tol=1e-9):
     return sk.solve(P, Q, SolverConfig(eps=0.5, tol=tol))
 
 
-def test_overrelaxation_engages_at_small_eps():
-    _, report = _small_eps_gaussian_solve()
-    assert report.relaxation > 1.0
-
-
 def test_overrelaxation_cuts_sweeps_by_a_quarter():
     _, report = _small_eps_gaussian_solve()
     assert report.iterations <= 0.75 * _PLAIN_SWEEPS
@@ -334,14 +330,12 @@ def test_overrelaxation_cuts_sweeps_by_a_quarter():
 
 def test_relaxed_stop_rule_bounds_the_two_sided_residual():
     _, report = _small_eps_gaussian_solve()
-    assert report.relaxation > 1.0
     assert report.optimality_residual <= report.final_residual <= 1e-9
 
 
 def test_relaxed_solve_matches_a_tight_solve():
     pair, report = _small_eps_gaussian_solve()
     tight, _ = _small_eps_gaussian_solve(tol=1e-13)
-    assert report.relaxation > 1.0
     assert np.max(np.abs(pair.f - tight.f)) <= 1e-8
     assert np.max(np.abs(pair.g - tight.g)) <= 1e-8
 
@@ -359,16 +353,25 @@ def _stalling_problem(index):
     return ms.DiscreteMeasure(X, a / a.sum()), ms.DiscreteMeasure(Y, b / b.sum()), eps
 
 
+def _plain_maps(P, Q, eps, tol=1e-9):
+    """Maps ``f <- f_from(g_from(f))`` from f = 0 until the solve's stop rule holds."""
+    upd = sk._Updates(P, Q, eps)
+    f = np.zeros((1, P.n))
+    for maps in itertools.count(1):
+        f_next = upd.f_from(upd.g_from(f))
+        if np.max(np.abs(f_next - f)) / eps <= tol:
+            return maps
+        f = f_next
+
+
 @pytest.mark.parametrize("index", [95, 263])
-def test_relaxation_does_not_stall_a_solve_plain_sweeps_finish(index, monkeypatch):
-    # On a residual plateau rho reads near 1 and w near 2. Without the stall
-    # test these two problems run out of 100k sweeps; plain sweeps need 595
-    # and 246.
+def test_relaxation_does_not_stall_a_solve_plain_sweeps_finish(index):
+    # Residual plateaus: overrelaxation without a stall rule ran these two
+    # problems out of 100k sweeps. Plain maps need 621 and 170; mixing needs
+    # 454 and 114.
     P, Q, eps = _stalling_problem(index)
-    with monkeypatch.context() as m:
-        m.setattr(sk._Relaxation, "update", lambda self, residual: None)
-        _, plain = sk.solve(P, Q, SolverConfig(eps=eps))
-    _, report = sk.solve(P, Q, SolverConfig(eps=eps, max_iter=2 * plain.iterations))
+    plain = _plain_maps(P, Q, eps)
+    _, report = sk.solve(P, Q, SolverConfig(eps=eps, max_iter=2 * plain))
     assert report.converged
 
 
