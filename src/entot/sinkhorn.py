@@ -16,9 +16,9 @@ sums use ``einsum``, never BLAS, so no result depends on the BLAS thread
 count; the only LAPACK call solves 5 x 5 systems, one at a time.
 
 :func:`solve` iterates the map ``f -> f_from(g_from(f))`` with safeguarded
-Anderson mixing and stops when the map moves f by at most ``tol * eps``,
-which is exactly the two-sided residual of the pair it returns; see its
-docstring. :func:`_solve_stack` runs the maps of several problems of one
+Anderson mixing and stops when the map moves f by at most ``tol * eps`` on
+the atoms that carry weight, which is exactly the two-sided residual of the
+pair it returns; see its docstring. :func:`_solve_stack` runs the maps of several problems of one
 size together: each kernel half-step is one ``einsum`` over the stacked
 kernels, which gives every problem the sums of its own call, while each
 problem keeps its own history, residual and map count. A problem's pair is
@@ -440,14 +440,12 @@ def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
     best = [math.inf] * count  # smallest residual so far
     maps, residuals = [None] * count, [None] * count
     F, G, F_hat = np.empty_like(x), np.empty((count, Qs[0].n)), np.empty_like(x)
-    weighted = upd.a > 0  # the atoms of P that enter g_from
-    unweighted = None if weighted.all() else ~weighted
+    unweighted = upd.a == 0  # the atoms of P that do not enter g_from
     for iterations in range(1, cfg.max_iter + 1):
         g = upd.g_from(x)
         tx = upd.f_from(g)
         rx = tx - x
-        if unweighted is not None:
-            rx[unweighted] = 0.0
+        rx[unweighted] = 0.0
         res = [m / eps for m in _row_max(rx)]
         slot = iterations % _DEPTH
         np.subtract(tx, t, out=dT[:, slot])
@@ -469,7 +467,7 @@ def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
                 dT[i] = dR[i] = 0.0
                 mixed[i] = recording[i] = False
         if leave:
-            F[leave] = np.where(weighted, x, tx)[leave]
+            F[leave] = np.where(unweighted, tx, x)[leave]
             G[leave], F_hat[leave] = g[leave], tx[leave]
             for i in leave:
                 maps[i], residuals[i] = iterations, res[i]
