@@ -14,17 +14,20 @@ replicate, and n) to one tuple of values per replicate, None for a replicate
 whose solve did not converge. It solves the chunk's transport problems as
 one stack (``sinkhorn._solve_stack``), so small problems share each
 half-step's numpy calls, and each replicate's values are those of a lone run
-bit for bit. A chunk holds as many replicates as fit ``_CHUNK_ENTRIES``
-entries of per-replicate working set, counted from entry counts alone. A
-cell whose replicates' largest transport operator has at least
-``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out to a
-thread pool of at most one worker per usable CPU; smaller replicates are
-mostly GIL-held numpy calls on short vectors, so their cells run in the
-calling thread, where a second thread would only slow them down. No chunk
-size or thread count changes an output byte. Two reductions turn the loop's
-output into results: coverage cells (hit rate and mean half-width) and rate
-curves (one curve per tuple position, with a log-log slope fit). A new
-experiment kind is one statistic plus one reduction.
+bit for bit. The rate kinds draw an empirical measure of n points from a
+population of at most n atoms on the population's own atoms, with count
+weights (``_empirical``), so a stack of their problems shares one Gibbs
+kernel of the population's size. A chunk holds as many replicates as
+``_CHUNK_ENTRIES`` entries hold of their largest transport operators,
+counted from entry counts alone. A cell whose replicates' largest transport
+operator has at least ``_POOL_MIN_ENTRIES`` entries runs chunks of one
+instead, fanned out to a thread pool of at most one worker per usable CPU;
+smaller replicates are mostly GIL-held numpy calls on short vectors, so their
+cells run in the calling thread, where a second thread would only slow them
+down. No chunk size or thread count changes an output byte. Two reductions
+turn the loop's output into results: coverage cells (hit rate and mean
+half-width) and rate curves (one curve per tuple position, with a log-log
+slope fit). A new experiment kind is one statistic plus one reduction.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .measures import (
     CompactDomain,
     DiscreteMeasure,
     SplitMix64,
+    _draw_indices,
     derived_seed,
     fmt17,
     load_measure,
@@ -71,12 +75,13 @@ _TRUTH_TOL = 1e-12  # population problems are solved well below replicate tol
 _POOL_MIN_ENTRIES = 1 << 17
 
 # A smaller cell runs its replicates in stacked chunks of as many as fit this
-# many entries (1 MB of float64): per replicate, its largest transport
-# operator plus the tables its statistic evaluates. On a 2-vCPU VM, 100 x 100
-# coverage intervals at eps = 2 took 0.87 ms each in chunks of 13, against
-# 1.50 ms one at a time; 250 x 250 ones about 4% less in chunks of 2. The
-# potential-rate desk cells, in chunks of 4 to 6, ran 1.7x the replicates per
-# second at 4.5% more peak RSS (twice this budget measured +6%).
+# many entries (1 MB of float64) of their largest transport operators; the
+# potential-rate statistic evaluates a chunk's extensions in stacks of as
+# many as fit it in grid tables. On a 2-vCPU VM, 100 x 100 coverage intervals
+# at eps = 2 took 0.87 ms each in chunks of 13, against 1.50 ms one at a
+# time; 250 x 250 ones about 4% less in chunks of 2. The potential-rate desk
+# cells, in chunks of 4 to 6, ran 1.7x the replicates per second at 4.5%
+# more peak RSS (twice this budget measured +6%).
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -280,9 +285,8 @@ def _scenario_for(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# statistics: (scenario, d, solver) -> (stat, entries); stat maps (streams, n)
-# to one tuple, or None, per stream; entries counts the float64 entries of the
-# tables one replicate evaluates besides its transport operators
+# statistics: (scenario, d, solver) -> stat; stat maps (streams, n) to one
+# tuple, or None, per stream
 
 
 def _outcome(results: tuple, value):
@@ -297,6 +301,17 @@ def _outcome(results: tuple, value):
     return value(*results)
 
 
+def _empirical(P: DiscreteMeasure, n: int, stream: SplitMix64) -> DiscreteMeasure:
+    """The empirical measure of n draws from P, from the uniforms and in the
+    stream position of :func:`sample_empirical`. When P has at most n atoms
+    it is given on P's own atoms, each weighted by its count of draws over n
+    (a never-drawn atom weighs 0): the same measure with the smaller support,
+    so each of its transport problems is one on P's support."""
+    if P.n > n:
+        return sample_empirical(P, n, stream)
+    return DiscreteMeasure(P.points, np.bincount(_draw_indices(P, n, stream), minlength=P.n) / n)
+
+
 def _coverage_statistic(scenario, d: int, solver: SolverConfig):
     """(hit, half_width) of one n-and-n two-sample interval."""
     truth = scenario.truth(d, solver.eps)
@@ -307,7 +322,7 @@ def _coverage_statistic(scenario, d: int, solver: SolverConfig):
         return [_outcome((ci,), lambda ci: (1 if ci.contains(truth) else 0, ci.half_width))
                 for ci in _ci_two_sample_stack(Ps, Qs, solver, alpha)]
 
-    return stat, 0
+    return stat
 
 
 def _bias_statistic(scenario, d: int, solver: SolverConfig):
@@ -316,11 +331,11 @@ def _bias_statistic(scenario, d: int, solver: SolverConfig):
     truth = scenario.truth(d, solver.eps)
 
     def stat(streams, n):
-        Ps = [sample_empirical(P, n, stream) for stream in streams]
+        Ps = [_empirical(P, n, stream) for stream in streams]
         return [_outcome((x,), lambda x: (x[2] - truth,))
                 for x in _solved_costs(Ps, [Q] * len(Ps), solver)]
 
-    return stat, 0
+    return stat
 
 
 def bias_replicate(P_emp: DiscreteMeasure, Q: DiscreteMeasure,
@@ -335,10 +350,12 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
 
     The grid-to-Q kernel and Q's monomials, and the population side f*'s
     grid tables, are fixed per (d, eps): they are built here once and
-    shared, read-only, by every replicate. A chunk of replicates evaluates
-    its extensions on them as one stack and subtracts f*'s tables as
-    :class:`PotentialDifference` does, so each value is bit-identical to
-    ``holder_norm(PotentialDifference(f_n, f*), ...)``."""
+    shared, read-only, by every replicate. A chunk's transport problems are
+    solved as one stack; its extensions are evaluated on those tables in
+    stacks of as many replicates as fit ``_CHUNK_ENTRIES`` entries of grid
+    tables, and f*'s tables are subtracted as :class:`PotentialDifference`
+    does, so each value is bit-identical to ``holder_norm(PotentialDifference(
+    f_n, f*), ...)``."""
     P, Q = scenario.pair(d)
     pts = GridSpec.default(CompactDomain.enclosing(P, Q)).points()
     s = HolderOrder.for_dimension(d).s
@@ -349,9 +366,19 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
         pts, alphas, *tables)
     for table in star.values():
         table.flags.writeable = False
+    # values, raw moments, cumulants and derivatives on the grid, with their
+    # temporaries: 10.4 grid tables per replicate at d = 2 (tracemalloc)
+    group = max(1, _CHUNK_ENTRIES // (12 * len(pts)))
+
+    def holder_terms(g):
+        lt = _extensions(g, Q, solver.eps, pts, alphas, *tables)
+        for a in lt:
+            lt[a] -= star[a]
+        terms = _order_terms(lt, alphas, s)
+        return [(sum(t) ** 2, t[0] ** 2) for t in zip(*(term.tolist() for term in terms))]
 
     def stat(streams, n):
-        Ps = [sample_empirical(P, n, stream) for stream in streams]
+        Ps = [_empirical(P, n, stream) for stream in streams]
         solved = _solve_stack(Ps, [Q] * len(Ps), solver)
         kept = [(P_n, x[0]) for P_n, x in zip(Ps, solved) if not isinstance(x, NotConverged)]
         if not kept:
@@ -360,17 +387,11 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
                       np.stack([pair.g for _, pair in kept]),
                       np.stack([P_n.weights for P_n, _ in kept]), Q.weights,
                       Normalization.ZERO_G_MEAN)
-        lt = _extensions(g, Q, solver.eps, pts, alphas, *tables)
-        for a in lt:
-            lt[a] -= star[a]
-        terms = _order_terms(lt, alphas, s)
-        values = iter([(sum(t) ** 2, t[0] ** 2)
-                       for t in zip(*(term.tolist() for term in terms))])
+        values = iter([v for start in range(0, len(g), group)
+                       for v in holder_terms(g[start:start + group])])
         return [None if isinstance(x, NotConverged) else next(values) for x in solved]
 
-    # values, raw moments, cumulants and derivatives on the grid, with their
-    # temporaries: 10.4 grid tables per replicate at d = 2 (tracemalloc)
-    return stat, 12 * len(pts)
+    return stat
 
 
 def _divergence_statistic(scenario, d: int, solver: SolverConfig):
@@ -383,8 +404,7 @@ def _divergence_statistic(scenario, d: int, solver: SolverConfig):
     s_pop_self = _solved_cost(P, P, solver)[2]
 
     def stat(streams, n):
-        pairs = [(sample_empirical(P, n, stream), sample_empirical(P, n, stream))
-                 for stream in streams]
+        pairs = [(_empirical(P, n, stream), _empirical(P, n, stream)) for stream in streams]
         Ps, P2s = [p for p, _ in pairs], [p2 for _, p2 in pairs]
         s_nn = _solved_costs(Ps, Ps, solver)
         s_np = _solved_costs(Ps, [P] * len(Ps), solver)
@@ -394,7 +414,7 @@ def _divergence_statistic(scenario, d: int, solver: SolverConfig):
                     np_[2] - 0.5 * (nn[2] + s_pop_self), s12[2] - 0.5 * (nn[2] + s22[2])))
                 for r in zip(s_nn, s_np, s_22, s_12)]
 
-    return stat, 0
+    return stat
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +481,19 @@ def _rate_result(cfg, scenario, cells, labels) -> RateResult:
 
 
 # kind -> (statistic, rate-curve labels or None for coverage cells, entries of
-# one replicate's largest transport operator as a function of (scenario, d, n))
+# one replicate's largest transport operator as a function of (scenario, d, n));
+# a rate replicate's empirical P has min(n, |P|) atoms (_empirical)
 _KINDS = {
     ExperimentKind.COVERAGE: (_coverage_statistic, None, lambda sc, d, n: n * n),
     ExperimentKind.BIAS_RATE: (
-        _bias_statistic, ("bias",), lambda sc, d, n: n * sc.pair(d)[1].n),
+        _bias_statistic, ("bias",),
+        lambda sc, d, n: min(n, sc.pair(d)[0].n) * sc.pair(d)[1].n),
     ExperimentKind.POTENTIAL_RATE: (
-        _potential_statistic, ("holder_sq", "sup_sq"), lambda sc, d, n: n * sc.pair(d)[1].n),
+        _potential_statistic, ("holder_sq", "sup_sq"),
+        lambda sc, d, n: min(n, sc.pair(d)[0].n) * sc.pair(d)[1].n),
     ExperimentKind.DIVERGENCE_RATE: (
         _divergence_statistic, ("one_sample", "two_sample"),
-        lambda sc, d, n: n * max(n, sc.pair(d)[0].n)),
+        lambda sc, d, n: min(n, sc.pair(d)[0].n) * sc.pair(d)[0].n),
 }
 
 
@@ -509,12 +532,12 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
                 itertools.product(cfg.dims, cfg.eps_list, cfg.n_list)):
             if (d, eps) not in stats:
                 stats[d, eps] = statistic(scenario, d, replace(cfg.solver, eps=eps))
-            stat, table_entries = stats[d, eps]
+            stat = stats[d, eps]
             entries = operator_entries(scenario, d, n)
             if entries >= _POOL_MIN_ENTRIES:
                 size, fan_out = 1, map if pool is None else pool.map
             else:
-                size, fan_out = max(1, _CHUNK_ENTRIES // (entries + table_entries)), map
+                size, fan_out = max(1, _CHUNK_ENTRIES // entries), map
             chunks = [range(r, min(r + size, cfg.replicates))
                       for r in range(0, cfg.replicates, size)]
 

@@ -280,14 +280,19 @@ def sample_empirical(source: DiscreteMeasure, n: int, seed) -> DiscreteMeasure:
     Inverse-CDF sampling over the cumulative weights, one uniform per draw,
     so output is deterministic and order-stable given the seed.
     """
+    idx = _draw_indices(source, n, seed)
+    return DiscreteMeasure(source.points[idx], np.full(n, 1.0 / n))
+
+
+def _draw_indices(source: DiscreteMeasure, n: int, seed) -> np.ndarray:
+    """The atom indices of :func:`sample_empirical`'s draws, in draw order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     stream = _resolve_stream(seed)
     cum = np.cumsum(source.weights)
     us = stream.uniforms(n)
     idx = np.searchsorted(cum, us, side="right")
-    idx = np.minimum(idx, source.n - 1)  # guards u >= cum[-1] roundoff
-    return DiscreteMeasure(source.points[idx], np.full(n, 1.0 / n))
+    return np.minimum(idx, source.n - 1)  # guards u >= cum[-1] roundoff
 
 
 def sample_gaussian(mean, variance_scale: float, n: int, seed) -> DiscreteMeasure:

@@ -20,7 +20,8 @@ Anderson mixing and stops when the map moves f by at most ``tol * eps`` on
 the atoms that carry weight, which is exactly the two-sided residual of the
 pair it returns; see its docstring. :func:`_solve_stack` runs the maps of several problems of one
 size together: each kernel half-step is one ``einsum`` over the stacked
-kernels, which gives every problem the sums of its own call, while each
+kernels, or over the one kernel of a stack whose problems share both
+supports, which gives every problem the sums of its own call, while each
 problem keeps its own history, residual and map count. A problem's pair is
 copied out at the map where it meets tol; it keeps its row, and no longer
 moves, until the stack is done. So each result is that of a lone solve, bit
@@ -252,7 +253,8 @@ class _Updates:
 
     The problems share their sizes (n x m) and eps; a lone problem may be
     given as its two measures. A stack holds each problem's Gibbs kernel
-    ``exp(-C/eps)`` in one array and runs a half-step as one kernel product
+    ``exp(-C/eps)`` in one array, or one 2-d kernel when every problem has
+    the first one's two supports, and runs a half-step as one kernel product
     over it; row r of a half-step's argument and result belongs to problem
     r. Only a lone problem leaves its kernel (:func:`_kernel_soft_min`):
     above ``dense_entry_limit`` entries, or from its first kernel sum below
@@ -278,7 +280,7 @@ class _Updates:
         self.path = "kernel" if dense else "blocked"
         self._log_w = (self.log_b, self.log_a)
         self._points = ((Ps[0].points, Qs[0].points), (Qs[0].points, Ps[0].points))  # lone only
-        if dense and len(Ps) == 1:
+        if dense and _shared_supports(Ps, Qs):
             K = _gibbs_kernel(Ps[0].points, Qs[0].points, eps)
         elif dense:
             K = np.empty((len(Ps), self.a.shape[1], self.b.shape[1]))
@@ -309,6 +311,14 @@ class _Updates:
 
     def g_from(self, f: np.ndarray) -> np.ndarray:
         return self._half_step(f, 1)
+
+
+def _shared_supports(Ps, Qs) -> bool:
+    """Whether every problem has the first one's two supports, bit for bit;
+    the check stops at the first problem that differs."""
+    X, Y = Ps[0].points.tobytes(), Qs[0].points.tobytes()
+    return all(P.points.tobytes() == X and Q.points.tobytes() == Y
+               for P, Q in zip(Ps[1:], Qs[1:]))
 
 
 def _check_pair_dims(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair):

@@ -271,8 +271,8 @@ def _spy_statistic(monkeypatch, kind, wrap):
     statistic, labels, entries = hz._KINDS[kind]
 
     def spy(scenario, d, solver):
-        stat, tables = statistic(scenario, d, solver)
-        return (lambda streams, n: wrap(stat, streams, n)), tables
+        stat = statistic(scenario, d, solver)
+        return lambda streams, n: wrap(stat, streams, n)
 
     monkeypatch.setitem(hz._KINDS, kind, (spy, labels, entries))
 
@@ -292,7 +292,7 @@ def test_output_bytes_do_not_depend_on_the_chunk_size(monkeypatch, kind, d):
     _spy_statistic(monkeypatch, kind, record)
     texts, chunkings = set(), set()
     # chunks of one, of a few replicates, the default budget, one chunk per cell
-    for budget in (0, 1_000, 2_000, 5_000, 50_000, hz._CHUNK_ENTRIES, 1 << 62):
+    for budget in (0, 500, 1_000, 2_000, 5_000, 50_000, hz._CHUNK_ENTRIES, 1 << 62):
         monkeypatch.setattr(hz, "_CHUNK_ENTRIES", budget)
         sizes.clear()
         result = hz.run_experiment(cfg, threads=1)
@@ -373,19 +373,21 @@ def test_thread_counts_below_one_are_refused_before_any_run(monkeypatch):
             hz.run_coverage(_tiny_coverage(), threads=threads)
 
 
-# kind -> largest transport operator entries of its two cells, n = 10 and 20
+# kind -> largest transport operator entries of its two cells: n = 10 and 20
+# for coverage, n = 5 and 20 for the rate kinds, whose empirical P has
+# min(n, |P|) atoms (10 atoms, and |Q| = 10)
 @pytest.mark.parametrize("kind, entries", [
     (ExperimentKind.COVERAGE, (100, 400)),  # n*n
-    (ExperimentKind.BIAS_RATE, (100, 200)),  # n*|Q|, 10 atoms
-    (ExperimentKind.POTENTIAL_RATE, (100, 200)),
-    (ExperimentKind.DIVERGENCE_RATE, (100, 400)),
+    (ExperimentKind.BIAS_RATE, (50, 100)),  # min(n, |P|)*|Q|
+    (ExperimentKind.POTENTIAL_RATE, (50, 100)),
+    (ExperimentKind.DIVERGENCE_RATE, (50, 100)),  # min(n, |P|)*|P|
 ], ids=["coverage", "bias_rate", "potential_rate", "divergence_rate"])
 def test_only_cells_at_or_above_the_gate_use_the_pool(monkeypatch, serial_pool, kind, entries):
     monkeypatch.setattr(hz, "_usable_cpus", lambda: 2)
     if kind is ExperimentKind.COVERAGE:
         cfg = replace(_tiny_coverage(), n_list=(10, 20))
     else:
-        cfg = _tiny_rate(kind)
+        cfg = replace(_tiny_rate(kind), n_list=(5, 20))
     small, large = entries
     for gate, pooled in [(large + 1, 0), (large, 1), (small + 1, 1), (small, 2)]:
         monkeypatch.setattr(hz, "_POOL_MIN_ENTRIES", gate)
@@ -521,7 +523,7 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
     cfg = hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt")
     scenario = hz._scenario_for(cfg)
     P, Q = scenario.pair(2)
-    stat, _ = hz._potential_statistic(scenario, 2, cfg.solver)
+    stat = hz._potential_statistic(scenario, 2, cfg.solver)
     pop, _ = sk.solve(P, Q, hz._tight_solver(cfg, 1.0))
     f_star = pot.f_extension(sk.normalize(pop, P, Q, Normalization.ZERO_G_MEAN), Q)
     grid = pot.GridSpec.default(ms.CompactDomain.enclosing(P, Q))
@@ -529,7 +531,7 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
     for n in (50, 800):
         seeds = [ms.derived_seed(cfg.seed, n, r) for r in range(3)]
         for seed in seeds:
-            P_n = ms.sample_empirical(P, n, ms.SplitMix64(seed))
+            P_n = hz._empirical(P, n, ms.SplitMix64(seed))  # the replicate's own measure
             pair, _ = sk.solve(P_n, Q, cfg.solver)
             pair = sk.normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
             delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
@@ -556,7 +558,7 @@ def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(hz, "_kernel_tables", kernel_tables)
-    stat, _ = hz._potential_statistic(hz._scenario_for(cfg), 2, cfg.solver)
+    stat = hz._potential_statistic(hz._scenario_for(cfg), 2, cfg.solver)
     assert len(built) == 1
     K, M = built[0]
     assert K.shape == (41 * 41, 10) and M.shape == (10, 5)
@@ -571,12 +573,14 @@ def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
 
 
 def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
-    # _run sizes a chunk so that its replicates' working sets (an n x 10
-    # operator and twelve 41 x 41 grid tables each) fit _CHUNK_ENTRIES
-    # entries; the traced peak of the chunk's statistic, samples and solves
-    # included, stays below that budget in float64 bytes, plus a quarter (0.8
-    # of it measured at n = 50, in chunks of 6). The shared grid kernel and
-    # monomials stay read-only and unwritten.
+    # _run sizes a chunk so that its replicates' operators (10 x 10, on the
+    # population's atoms) fit _CHUNK_ENTRIES entries, and the statistic
+    # evaluates their extensions in groups whose twelve 41 x 41 grid tables
+    # each fit it too; the traced peak of the chunk's statistic, samples and
+    # solves included, stays below that budget in float64 bytes, plus a
+    # quarter (0.8 of it measured at n = 50 and 800, in chunks of 12 and
+    # groups of 6). The shared grid kernel and monomials stay read-only and
+    # unwritten.
     cfg = replace(hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt"),
                   n_list=(50, 800), replicates=12)
     built = []

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from entot import harness as hz
 from entot import measures as ms
 from entot import sinkhorn as sk
 from entot.errors import NotConverged
@@ -177,3 +178,51 @@ def test_stacked_solved_costs_match_lone_ones(eps):
         pair, report, value = sk._solved_cost(P, Q, cfg)
         assert stacked[2] == value
         _assert_same(stacked[:2], (pair, report))
+
+
+
+def _draws(P, n, count, seed):
+    """``count`` count-weighted empirical measures of n draws on P's atoms."""
+    return [hz._empirical(P, n, ms.SplitMix64(ms.derived_seed(SUITE_SEED, seed, r)))
+            for r in range(count)]
+
+
+@pytest.mark.parametrize("floor, path", [(sk._KERNEL_FLOOR, "kernel"), (np.inf, "kernel+log")],
+                         ids=["kernel", "floor-inf"])
+def test_stack_on_shared_supports_builds_one_kernel(floor, path, monkeypatch):
+    # replicates on one population's atoms share both supports: the stack
+    # builds one Gibbs kernel, and each problem's result is its lone solve's,
+    # also in the self terms, where never-drawn atoms weigh 0 on both sides;
+    # a stack that leaves its kernel is solved again one problem at a time
+    stream = ms.SeedSpec(SUITE_SEED, 90).stream()
+    P, Q = (ms.uniform_on(stream.uniforms(20).reshape(10, 2)) for _ in range(2))
+    Ps, P2s = _draws(P, 12, 6, seed=91), _draws(P, 12, 6, seed=92)
+    assert all(np.any(X.weights == 0) for X in Ps + P2s)
+    kernels = []
+    build = sk._gibbs_kernel
+    monkeypatch.setattr(sk, "_gibbs_kernel",
+                        lambda X, Y, eps: kernels.append(1) or build(X, Y, eps))
+    monkeypatch.setattr(sk, "_KERNEL_FLOOR", floor)
+    spreads = set()
+    for Xs, Ys in [(Ps, [Q] * 6), (Ps, [P] * 6), (Ps, Ps), (P2s, P2s), (Ps, P2s)]:
+        for eps in (0.05, 1.0):  # 8 to 17 maps at 0.05, leaving at different maps
+            cfg = SolverConfig(eps=eps)
+            kernels.clear()
+            stacked = sk._solve_stack(Xs, Ys, cfg)
+            assert len(kernels) == (1 if path == "kernel" else 1 + len(Xs))
+            for s, X, Y in zip(stacked, Xs, Ys):
+                _assert_same(s, _lone(X, Y, cfg))
+                assert _parts(s)[1].path == path
+            spreads.add(len({_parts(s)[1].iterations for s in stacked}))
+    assert max(spreads) > 2
+
+
+def test_stack_on_supports_of_their_own_builds_a_kernel_each(monkeypatch):
+    Ps, Qs = _problems(4, seed=93)
+    Qs = [Qs[0]] * 4  # one shared support is not enough
+    kernels = []
+    build = sk._gibbs_kernel
+    monkeypatch.setattr(sk, "_gibbs_kernel",
+                        lambda X, Y, eps: kernels.append(1) or build(X, Y, eps))
+    _check_stack(Ps, Qs, SolverConfig(eps=0.5))
+    assert len(kernels) == 4 + 4  # the stack's, then the lone solves'
