@@ -7,27 +7,32 @@ its randomness from a stream derived by hashing (master seed, cell index,
 replicate index), so every cell is independently reproducible and results
 are byte-identical across thread counts.
 
-One replicate loop runs every kind. It walks the (d, eps, n) cells, builds
-the kind's statistic once per (d, eps), and hands a cell's replicates to it
-in chunks, in replicate order. A statistic maps a chunk (one stream per
-replicate, and n) to one tuple of values per replicate, None for a replicate
-whose solve did not converge. It solves the chunk's transport problems as
-one stack (``sinkhorn._solve_stack``), so small problems share each
-half-step's numpy calls, and each replicate's values are those of a lone run
-bit for bit. The rate kinds draw an empirical measure of n points from a
-population of at most n atoms on the population's own atoms, with count
-weights (``_empirical``), so a stack of their problems shares one Gibbs
-kernel of the population's size. A chunk holds as many replicates as
-``_CHUNK_ENTRIES`` entries hold of their largest transport operators,
-counted from entry counts alone. A cell whose replicates' largest transport
-operator has at least ``_POOL_MIN_ENTRIES`` entries runs chunks of one
-instead, fanned out to a thread pool of at most one worker per usable CPU;
-smaller replicates are mostly GIL-held numpy calls on short vectors, so their
-cells run in the calling thread, where a second thread would only slow them
-down. No chunk size or thread count changes an output byte. Two reductions
-turn the loop's output into results: coverage cells (hit rate and mean
-half-width) and rate curves (one curve per tuple position, with a log-log
-slope fit). A new experiment kind is one statistic plus one reduction.
+One replicate loop runs every kind. It walks the (d, eps) rows of cells,
+builds the kind's statistic once per row, and hands the row's replicates to
+it in chunks, in cell and replicate order. A chunk may run across the cells
+of a row whose replicates' transport operators have one shape (``_KINDS``):
+every rate cell with n at least the population's size, while coverage cells
+of different n keep chunks of their own. A statistic maps a chunk (one
+stream and one n per replicate) to one tuple of values per replicate, None
+for a replicate whose solve did not converge. It draws the chunk's samples
+as blocks, one per run of replicates of one n (``_drawn``), and solves its
+transport problems as one stack (``sinkhorn._solve_stack``), so small
+problems share each draw's and each half-step's numpy calls, and each
+replicate's values are those of a lone run bit for bit. The rate kinds draw
+an empirical measure of n points from a population of at most n atoms on the
+population's own atoms, with count weights (``_empirical``), so a stack of
+their problems shares one Gibbs kernel of the population's size. A chunk
+holds as many replicates as ``_CHUNK_ENTRIES`` entries hold of their largest
+transport operators, counted from entry counts alone. A cell whose
+replicates' largest transport operator has at least ``_POOL_MIN_ENTRIES``
+entries runs chunks of one instead, fanned out to a thread pool of at most
+one worker per usable CPU; smaller replicates are mostly GIL-held numpy calls
+on short vectors, so their cells run in the calling thread, where a second
+thread would only slow them down. No chunk size or thread count changes an
+output byte. Two reductions turn the loop's output into results: coverage
+cells (hit rate and mean half-width) and rate curves (one curve per tuple
+position, with a log-log slope fit). A new experiment kind is one statistic
+plus one reduction.
 """
 
 from __future__ import annotations
@@ -50,12 +55,13 @@ from .measures import (
     CompactDomain,
     DiscreteMeasure,
     SplitMix64,
-    _draw_indices,
+    _draw_rows,
+    _empirical_rows,
+    _gaussian_rows,
+    _measure_rows,
     derived_seed,
     fmt17,
     load_measure,
-    sample_empirical,
-    sample_gaussian,
 )
 from .oracle import GaussianPairSpec, gaussian_cost
 from .potentials import (GridSpec, HolderOrder, _extensions, _kernel_tables, _order_terms,
@@ -68,20 +74,29 @@ _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draw
 _TRUTH_TOL = 1e-12  # population problems are solved well below replicate tol
 
 # A cell fans its replicates out to the pool, as chunks of one, only when one
-# replicate's largest transport operator has at least this many entries.
-# Below it a second thread slows the cell down: at d=2 on 2 cores,
-# 20-replicate coverage cells break even near n = 362 (n*n = 2**17) at eps 2
-# and 0.5.
+# replicate's largest transport operator has at least this many entries. The
+# break-even was measured on replicates run one at a time, before stacks (d=2
+# on 2 cores: 20-replicate coverage cells near n = 362, n*n = 2**17, at eps 2
+# and 0.5). Stacked chunks below it gain less still from a second thread:
+# with every coverage-desk chunk in the pool at two threads a round call took
+# 1.1x the wall time and 1.5x the CPU time.
 _POOL_MIN_ENTRIES = 1 << 17
 
 # A smaller cell runs its replicates in stacked chunks of as many as fit this
-# many entries (1 MB of float64) of their largest transport operators; the
-# potential-rate statistic evaluates a chunk's extensions in stacks of as
-# many as fit it in grid tables. On a 2-vCPU VM, 100 x 100 coverage intervals
-# at eps = 2 took 0.87 ms each in chunks of 13, against 1.50 ms one at a
-# time; 250 x 250 ones about 4% less in chunks of 2. The potential-rate desk
-# cells, in chunks of 4 to 6, ran 1.7x the replicates per second at 4.5%
-# more peak RSS (twice this budget measured +6%).
+# many entries (1 MB of float64) of their largest transport operators, and a
+# chunk of same-shaped operators may span the cells of its (d, eps) row. The
+# count leaves out each problem's solver state, which outweighs a shared
+# 10 x 10 kernel: the potential-rate desk row, one chunk of 1000
+# count-weighted replicates, peaks at 3.2 MB traced, against 1.2 MB for one
+# cell's 200. A chunk's draws come in blocks (_drawn), and the potential-rate
+# statistic evaluates its extensions in stacks, that each fit this budget.
+# On a 2-vCPU VM, 100 x 100 coverage intervals at eps = 2 took 0.87 ms each
+# in chunks of 13, against 1.50 ms one at a time; 250 x 250 ones about 4%
+# less in chunks of 2. The potential-rate desk cells, in chunks of 4 to 6,
+# ran 1.7x the replicates per second at 4.5% more peak RSS (twice this
+# budget measured +6%). At 20 replicates a cell, drawing the chunks as
+# blocks took 0.85 of the wall time of per-replicate draws, and one chunk per
+# row instead of per cell 0.84 of the rest.
 _CHUNK_ENTRIES = 1 << 17
 
 
@@ -227,10 +242,10 @@ class _GaussianScenario:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
 
-    def sample_pair(self, stream: SplitMix64, d: int, n: int):
-        P_n = sample_gaussian(np.zeros(d), 1.0, n, stream)
-        Q_n = sample_gaussian(np.full(d, math.sqrt(2.0)), 1.0, n, stream)
-        return P_n, Q_n
+    def sample_pairs(self, streams, d: int, n: int) -> list:
+        """One (P_n, Q_n) per stream, each stream drawing P_n first."""
+        return list(zip(_gaussian_rows(np.zeros(d), 1.0, n, streams),
+                        _gaussian_rows(np.full(d, math.sqrt(2.0)), 1.0, n, streams)))
 
     def truth(self, d: int, eps: float) -> float:
         return gaussian_cost(GaussianPairSpec(d, eps))
@@ -266,9 +281,10 @@ class _DiscreteScenario:
     def pair(self, d: int) -> tuple[DiscreteMeasure, DiscreteMeasure]:
         return self._pairs[d]
 
-    def sample_pair(self, stream: SplitMix64, d: int, n: int):
+    def sample_pairs(self, streams, d: int, n: int) -> list:
+        """One (P_n, Q_n) per stream, each stream drawing P_n first."""
         P, Q = self._pairs[d]
-        return sample_empirical(P, n, stream), sample_empirical(Q, n, stream)
+        return list(zip(_empirical_rows(P, n, streams), _empirical_rows(Q, n, streams)))
 
     def truth(self, d: int, eps: float) -> float:
         P, Q = self._pairs[d]
@@ -285,8 +301,8 @@ def _scenario_for(cfg: ExperimentConfig):
 
 
 # ---------------------------------------------------------------------------
-# statistics: (scenario, d, solver) -> stat; stat maps (streams, n) to one
-# tuple, or None, per stream
+# statistics: (scenario, d, solver) -> stat; stat maps (streams, ns), one
+# stream and one sample size per replicate, to one tuple, or None, per stream
 
 
 def _outcome(results: tuple, value):
@@ -301,15 +317,33 @@ def _outcome(results: tuple, value):
     return value(*results)
 
 
-def _empirical(P: DiscreteMeasure, n: int, stream: SplitMix64) -> DiscreteMeasure:
-    """The empirical measure of n draws from P, from the uniforms and in the
-    stream position of :func:`sample_empirical`. When P has at most n atoms
-    it is given on P's own atoms, each weighted by its count of draws over n
-    (a never-drawn atom weighs 0): the same measure with the smaller support,
-    so each of its transport problems is one on P's support."""
+def _drawn(draw, streams, ns) -> list:
+    """``draw(block, n)`` over a chunk's replicates, in order: one block per
+    run of consecutive replicates of one n, cut to at most
+    ``_CHUNK_ENTRIES // (2 * n)`` streams, so that a block of n uniforms per
+    stream and its one temporary fit ``_CHUNK_ENTRIES`` entries."""
+    out = []
+    for n, run in itertools.groupby(zip(ns, streams), key=lambda job: job[0]):
+        run = [stream for _, stream in run]
+        size = max(1, _CHUNK_ENTRIES // (2 * n))
+        for start in range(0, len(run), size):
+            out += draw(run[start:start + size], n)
+    return out
+
+
+def _empirical(P: DiscreteMeasure, n: int, streams) -> list:
+    """The empirical measures of n draws from P, one per stream, from the
+    uniforms and in the stream position of :func:`sample_empirical`. When P
+    has at most n atoms each is given on P's own atoms, weighted by their
+    counts of draws over n (a never-drawn atom weighs 0): the same measure
+    with the smaller support, so each of its transport problems is one on
+    P's support."""
     if P.n > n:
-        return sample_empirical(P, n, stream)
-    return DiscreteMeasure(P.points, np.bincount(_draw_indices(P, n, stream), minlength=P.n) / n)
+        return _empirical_rows(P, n, streams)
+    idx = _draw_rows(P, n, streams)
+    idx += P.n * np.arange(len(streams))[:, None]  # row r counts into its own |P| bins
+    counts = np.bincount(idx.ravel(), minlength=len(streams) * P.n)
+    return _measure_rows(P.points, counts.reshape(len(streams), P.n) / n)
 
 
 def _coverage_statistic(scenario, d: int, solver: SolverConfig):
@@ -317,8 +351,8 @@ def _coverage_statistic(scenario, d: int, solver: SolverConfig):
     truth = scenario.truth(d, solver.eps)
     alpha = scenario.cfg.alpha
 
-    def stat(streams, n):
-        Ps, Qs = zip(*(scenario.sample_pair(stream, d, n) for stream in streams))
+    def stat(streams, ns):
+        Ps, Qs = zip(*_drawn(lambda block, n: scenario.sample_pairs(block, d, n), streams, ns))
         return [_outcome((ci,), lambda ci: (1 if ci.contains(truth) else 0, ci.half_width))
                 for ci in _ci_two_sample_stack(Ps, Qs, solver, alpha)]
 
@@ -330,8 +364,8 @@ def _bias_statistic(scenario, d: int, solver: SolverConfig):
     P, Q = scenario.pair(d)
     truth = scenario.truth(d, solver.eps)
 
-    def stat(streams, n):
-        Ps = [_empirical(P, n, stream) for stream in streams]
+    def stat(streams, ns):
+        Ps = _drawn(lambda block, n: _empirical(P, n, block), streams, ns)
         return [_outcome((x,), lambda x: (x[2] - truth,))
                 for x in _solved_costs(Ps, [Q] * len(Ps), solver)]
 
@@ -350,12 +384,13 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
 
     The grid-to-Q kernel and Q's monomials, and the population side f*'s
     grid tables, are fixed per (d, eps): they are built here once and
-    shared, read-only, by every replicate. A chunk's transport problems are
-    solved as one stack; its extensions are evaluated on those tables in
-    stacks of as many replicates as fit ``_CHUNK_ENTRIES`` entries of grid
-    tables, and f*'s tables are subtracted as :class:`PotentialDifference`
-    does, so each value is bit-identical to ``holder_norm(PotentialDifference(
-    f_n, f*), ...)``."""
+    shared, read-only, by every replicate. A chunk's transport problems,
+    which span the cells of a row when the population has at most n atoms,
+    are solved as one stack; its extensions are evaluated on those tables in
+    one run of stacks of as many replicates as fit ``_CHUNK_ENTRIES`` entries
+    of grid tables, and f*'s tables are subtracted as
+    :class:`PotentialDifference` does, so each value is bit-identical to
+    ``holder_norm(PotentialDifference(f_n, f*), ...)``."""
     P, Q = scenario.pair(d)
     pts = GridSpec.default(CompactDomain.enclosing(P, Q)).points()
     s = HolderOrder.for_dimension(d).s
@@ -377,8 +412,8 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
         terms = _order_terms(lt, alphas, s)
         return [(sum(t) ** 2, t[0] ** 2) for t in zip(*(term.tolist() for term in terms))]
 
-    def stat(streams, n):
-        Ps = [_empirical(P, n, stream) for stream in streams]
+    def stat(streams, ns):
+        Ps = _drawn(lambda block, n: _empirical(P, n, block), streams, ns)
         solved = _solve_stack(Ps, [Q] * len(Ps), solver)
         kept = [(P_n, x[0]) for P_n, x in zip(Ps, solved) if not isinstance(x, NotConverged)]
         if not kept:
@@ -403,9 +438,10 @@ def _divergence_statistic(scenario, d: int, solver: SolverConfig):
     P, _ = scenario.pair(d)
     s_pop_self = _solved_cost(P, P, solver)[2]
 
-    def stat(streams, n):
-        pairs = [(_empirical(P, n, stream), _empirical(P, n, stream)) for stream in streams]
-        Ps, P2s = [p for p, _ in pairs], [p2 for _, p2 in pairs]
+    def stat(streams, ns):
+        # each stream draws its first measure, then its second
+        Ps, P2s = (_drawn(lambda block, n: _empirical(P, n, block), streams, ns)
+                   for _ in range(2))
         s_nn = _solved_costs(Ps, Ps, solver)
         s_np = _solved_costs(Ps, [P] * len(Ps), solver)
         s_22 = _solved_costs(P2s, P2s, solver)
@@ -480,20 +516,21 @@ def _rate_result(cfg, scenario, cells, labels) -> RateResult:
                       populations=scenario.populations())
 
 
-# kind -> (statistic, rate-curve labels or None for coverage cells, entries of
-# one replicate's largest transport operator as a function of (scenario, d, n));
-# a rate replicate's empirical P has min(n, |P|) atoms (_empirical)
+# kind -> (statistic, rate-curve labels or None for coverage cells, shape of
+# one replicate's largest transport operator as a function of (scenario, d, n),
+# which fixes the shapes of all its operators); a rate replicate's empirical P
+# has min(n, |P|) atoms (_empirical)
 _KINDS = {
-    ExperimentKind.COVERAGE: (_coverage_statistic, None, lambda sc, d, n: n * n),
+    ExperimentKind.COVERAGE: (_coverage_statistic, None, lambda sc, d, n: (n, n)),
     ExperimentKind.BIAS_RATE: (
         _bias_statistic, ("bias",),
-        lambda sc, d, n: min(n, sc.pair(d)[0].n) * sc.pair(d)[1].n),
+        lambda sc, d, n: (min(n, sc.pair(d)[0].n), sc.pair(d)[1].n)),
     ExperimentKind.POTENTIAL_RATE: (
         _potential_statistic, ("holder_sq", "sup_sq"),
-        lambda sc, d, n: min(n, sc.pair(d)[0].n) * sc.pair(d)[1].n),
+        lambda sc, d, n: (min(n, sc.pair(d)[0].n), sc.pair(d)[1].n)),
     ExperimentKind.DIVERGENCE_RATE: (
         _divergence_statistic, ("one_sample", "two_sample"),
-        lambda sc, d, n: min(n, sc.pair(d)[0].n) * sc.pair(d)[0].n),
+        lambda sc, d, n: (min(n, sc.pair(d)[0].n), sc.pair(d)[0].n)),
 }
 
 
@@ -521,30 +558,37 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_kind(cfg, kind)
     scenario = _scenario_for(cfg)
-    statistic, labels, operator_entries = _KINDS[kind]
+    statistic, labels, operator_shape = _KINDS[kind]
     # at most one worker per replicate and per usable CPU, whatever threads asks
     cpus = _usable_cpus()
     workers = min(cpus if threads is None else threads, cfg.replicates, cpus)
-    stats: dict = {}
+    reps = cfg.replicates
     cells = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for index, (d, eps, n) in enumerate(
-                itertools.product(cfg.dims, cfg.eps_list, cfg.n_list)):
-            if (d, eps) not in stats:
-                stats[d, eps] = statistic(scenario, d, replace(cfg.solver, eps=eps))
-            stat = stats[d, eps]
-            entries = operator_entries(scenario, d, n)
-            if entries >= _POOL_MIN_ENTRIES:
-                size, fan_out = 1, map if pool is None else pool.map
-            else:
-                size, fan_out = max(1, _CHUNK_ENTRIES // entries), map
-            chunks = [range(r, min(r + size, cfg.replicates))
-                      for r in range(0, cfg.replicates, size)]
+        # one statistic per (d, eps) row; one chunking per run of the row's
+        # cells whose operators have one shape
+        for (d, eps), row in itertools.groupby(
+                enumerate(itertools.product(cfg.dims, cfg.eps_list, cfg.n_list)),
+                key=lambda cell: cell[1][:2]):
+            stat = statistic(scenario, d, replace(cfg.solver, eps=eps))
+            for shape, run in itertools.groupby(
+                    row, key=lambda cell, d=d: operator_shape(scenario, d, cell[1][2])):
+                run = list(run)
+                entries = math.prod(shape)
+                if entries >= _POOL_MIN_ENTRIES:
+                    size, fan_out = 1, map if pool is None else pool.map
+                else:
+                    size, fan_out = max(1, _CHUNK_ENTRIES // entries), map
+                jobs = [(index, n, r) for index, (_, _, n) in run for r in range(reps)]
 
-            def run_chunk(chunk, stat=stat, index=index, n=n):
-                return stat([SplitMix64(derived_seed(cfg.seed, index, r)) for r in chunk], n)
+                def run_chunk(chunk, stat=stat):
+                    return stat([SplitMix64(derived_seed(cfg.seed, index, r))
+                                 for index, _, r in chunk], [n for _, n, _ in chunk])
 
-            cells.append(((d, eps, n), [o for out in fan_out(run_chunk, chunks) for o in out]))
+                chunks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
+                outcomes = [o for out in fan_out(run_chunk, chunks) for o in out]
+                cells += [(cell, outcomes[k * reps:(k + 1) * reps])
+                          for k, (_, cell) in enumerate(run)]
     if labels is None:
         return _coverage_result(cfg, scenario, cells)
     return _rate_result(cfg, scenario, cells, labels)

@@ -3,10 +3,18 @@
 The sampling primitives are built on a splitmix-style 64-bit generator so that
 every draw is a pure function of a :class:`SeedSpec`. No global RNG state is
 consulted anywhere in the library.
+
+Draws come in blocks: one array serves several streams, row r holding stream
+r's next draws, and the one-stream samplers (:meth:`SplitMix64.u64_block`,
+:func:`sample_gaussian`, :func:`sample_empirical`) are blocks of one row. The
+arithmetic is elementwise, so every row equals its stream's draws taken
+alone, bit for bit. A block's measures are frozen, C-contiguous row views of
+one points block and one weights block, checked once for the whole block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,16 +83,38 @@ class SplitMix64:
 
     def u64_block(self, count: int) -> np.ndarray:
         """Next `count` raw outputs as uint64, advancing the stream."""
-        idx = np.arange(self._count + 1, self._count + count + 1, dtype=np.uint64)
-        self._count += count
-        z = np.uint64(self._seed) + np.uint64(_GAMMA) * idx  # wraps mod 2**64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        return _u64_rows((self,), count)[0]
 
     def uniforms(self, count: int) -> np.ndarray:
         """Block of `count` uniforms in [0, 1), advancing the stream."""
-        return (self.u64_block(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _uniform_rows((self,), count)[0]
+
+
+def _u64_rows(streams, count: int) -> np.ndarray:
+    """``(len(streams), count)`` uint64 block whose row r is the next `count`
+    raw outputs of ``streams[r]``; advances every stream by `count`."""
+    z = np.array([s._count for s in streams], dtype=np.uint64)[:, None] + np.arange(
+        1, count + 1, dtype=np.uint64)
+    for s in streams:
+        s._count += count
+    # in place, so the block has one temporary of its size: seed + k * GAMMA
+    # (wrapping mod 2**64), then the three rounds of mix64
+    z *= np.uint64(_GAMMA)
+    z += np.array([s._seed for s in streams], dtype=np.uint64)[:, None]
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniform_rows(streams, count: int) -> np.ndarray:
+    """:func:`_u64_rows` as uniforms in [0, 1) with 53 random bits."""
+    z = _u64_rows(streams, count)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)
@@ -128,14 +158,7 @@ class DiscreteMeasure:
         w = np.array(self.weights, dtype=np.float64).reshape(-1)
         if w.shape[0] != pts.shape[0]:
             raise ValueError("weights length must match the number of points")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise ValueError("points and weights must be finite")
-        if np.any(w < 0):
-            raise NonSimplexWeights("negative weight")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise NonSimplexWeights(
-                f"weights sum to {w.sum()!r}, more than 1e-12 away from 1"
-            )
+        _check_measures(pts, w)
         pts.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -148,6 +171,37 @@ class DiscreteMeasure:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+
+def _check_measures(points: np.ndarray, weights: np.ndarray) -> None:
+    """Finite points and weights, and each row of weights nonnegative and
+    summing to 1 within 1e-12."""
+    if not np.all(np.isfinite(points)) or not np.all(np.isfinite(weights)):
+        raise ValueError("points and weights must be finite")
+    if np.any(weights < 0):
+        raise NonSimplexWeights("negative weight")
+    sums = np.atleast_1d(weights.sum(axis=-1))
+    off = sums[np.abs(sums - 1.0) > 1e-12]
+    if off.size:
+        raise NonSimplexWeights(f"weights sum to {off[0]!r}, more than 1e-12 away from 1")
+
+
+def _measure_rows(points: np.ndarray, weights: np.ndarray) -> list:
+    """The measures on the rows of a block: ``weights`` is ``(R, n)`` and
+    ``points`` ``(R, n, d)``, or one ``(n, d)`` support for every row, all
+    C-contiguous float64. The block is checked once (:func:`_check_measures`)
+    and frozen; measure r holds row views of it, which are C-contiguous too
+    (``sinkhorn._dot`` sums rows by their strides)."""
+    _check_measures(points, weights)
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    out = []
+    for pts, w in zip(points if points.ndim == 3 else itertools.repeat(points), weights):
+        measure = object.__new__(DiscreteMeasure)
+        object.__setattr__(measure, "points", pts)
+        object.__setattr__(measure, "weights", w)
+        out.append(measure)
+    return out
 
 
 def dirac(point) -> DiscreteMeasure:
@@ -280,19 +334,25 @@ def sample_empirical(source: DiscreteMeasure, n: int, seed) -> DiscreteMeasure:
     Inverse-CDF sampling over the cumulative weights, one uniform per draw,
     so output is deterministic and order-stable given the seed.
     """
-    idx = _draw_indices(source, n, seed)
-    return DiscreteMeasure(source.points[idx], np.full(n, 1.0 / n))
+    return _empirical_rows(source, n, (_resolve_stream(seed),))[0]
 
 
-def _draw_indices(source: DiscreteMeasure, n: int, seed) -> np.ndarray:
-    """The atom indices of :func:`sample_empirical`'s draws, in draw order."""
+def _empirical_rows(source: DiscreteMeasure, n: int, streams) -> list:
+    """:func:`sample_empirical` of each stream, as one block."""
+    idx = _draw_rows(source, n, streams)
+    return _measure_rows(source.points[idx], np.full(idx.shape, 1.0 / n))
+
+
+def _draw_rows(source: DiscreteMeasure, n: int, streams) -> np.ndarray:
+    """``(len(streams), n)`` block of atom indices: row r is the atoms of
+    :func:`sample_empirical`'s draws from ``streams[r]``, in draw order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = _resolve_stream(seed)
     cum = np.cumsum(source.weights)
-    us = stream.uniforms(n)
-    idx = np.searchsorted(cum, us, side="right")
-    return np.minimum(idx, source.n - 1)  # guards u >= cum[-1] roundoff
+    idx = np.searchsorted(cum, _uniform_rows(streams, n), side="right")
+    # u >= cum[-1] by roundoff lands past the end: take the last atom with
+    # weight, never a weightless one after it
+    return np.minimum(idx, np.flatnonzero(source.weights)[-1], out=idx)
 
 
 def sample_gaussian(mean, variance_scale: float, n: int, seed) -> DiscreteMeasure:
@@ -300,26 +360,30 @@ def sample_gaussian(mean, variance_scale: float, n: int, seed) -> DiscreteMeasur
 
     Box-Muller on the seeded stream; both outputs of each pair are consumed.
     """
+    return _gaussian_rows(mean, variance_scale, n, (_resolve_stream(seed),))[0]
+
+
+def _gaussian_rows(mean, variance_scale: float, n: int, streams) -> list:
+    """:func:`sample_gaussian` of each stream, as one block."""
     if not (math.isfinite(variance_scale) and variance_scale > 0):
         raise ValueError("variance_scale must be positive and finite")
     if n < 1:
         raise ValueError("n must be >= 1")
     mu = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     d = mu.shape[0]
-    stream = _resolve_stream(seed)
     total = n * d
     pairs = (total + 1) // 2
-    bits = stream.u64_block(2 * pairs)
+    bits = _u64_rows(streams, 2 * pairs)
     # u1 in (0, 1] so the log is finite; u2 in [0, 1)
-    u1 = ((bits[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-    u2 = (bits[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u1 = ((bits[:, 0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    u2 = (bits[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * math.pi * u2
-    vals = np.empty(2 * pairs)
-    vals[0::2] = radius * np.cos(angle)
-    vals[1::2] = radius * np.sin(angle)
-    pts = mu[None, :] + math.sqrt(variance_scale) * vals[:total].reshape(n, d)
-    return DiscreteMeasure(pts, np.full(n, 1.0 / n))
+    vals = np.empty((len(streams), 2 * pairs))
+    vals[:, 0::2] = radius * np.cos(angle)
+    vals[:, 1::2] = radius * np.sin(angle)
+    pts = mu + math.sqrt(variance_scale) * vals[:, :total].reshape(len(streams), n, d)
+    return _measure_rows(pts, np.full((len(streams), n), 1.0 / n))
 
 
 def rescale_measure(measure: DiscreteMeasure, eps: float) -> DiscreteMeasure:

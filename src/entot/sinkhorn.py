@@ -164,7 +164,9 @@ def _dot(x: np.ndarray, w: np.ndarray):
     """``sum_i x_i w_i`` by ``einsum``: BLAS ``x @ w`` changes its bits with the
     BLAS thread count from about 10k entries up. A float for 1-d ``x``; for a
     stack of rows, each row's sum (with ``w``'s matching row, or ``w``), bit
-    for bit as alone."""
+    for bit as alone. Bit for bit only on C-contiguous rows: einsum's sums
+    depend on the operands' strides, and rows of a Fortran-ordered block give
+    other last bits."""
     out = np.einsum("...i,...i->...", x, w)
     return float(out) if out.ndim == 0 else out
 

@@ -62,7 +62,7 @@ def _close(value, reference, scale, eps):
 def test_count_weights_are_the_histogram_of_the_drawn_atoms(P, n, seed):
     hypothesis.assume(len(np.unique(P.points, axis=0)) == P.n)
     s1, s2 = ms.SplitMix64(seed), ms.SplitMix64(seed)
-    counted, drawn = hz._empirical(P, n, s1), ms.sample_empirical(P, n, s2)
+    [counted], drawn = hz._empirical(P, n, [s1]), ms.sample_empirical(P, n, s2)
     assert s1.next_u64() == s2.next_u64()  # the stream ends at the same count
     if P.n > n:  # more atoms than draws: the drawn atoms themselves
         assert counted.points.tobytes() == drawn.points.tobytes()
@@ -83,8 +83,8 @@ def _cost(P, Q, cfg):
 def test_rate_values_on_count_weights_are_those_of_the_drawn_atoms(PQ, n, seed, eps):
     P, Q = PQ
     cfg = SolverConfig(eps=eps, tol=_TIGHT)
-    counted, drawn = (draw(P, n, ms.SplitMix64(seed))
-                      for draw in (hz._empirical, ms.sample_empirical))
+    [counted] = hz._empirical(P, n, [ms.SplitMix64(seed)])
+    drawn = ms.sample_empirical(P, n, ms.SplitMix64(seed))
     (pair_c, _, cost_c), (pair_d, _, cost_d) = (sk._solved_cost(X, Q, cfg)
                                                 for X in (counted, drawn))
     assert _close(cost_c, cost_d, abs(cost_d), eps)
@@ -94,7 +94,7 @@ def test_rate_values_on_count_weights_are_those_of_the_drawn_atoms(PQ, n, seed, 
     # atoms; as differences of costs they agree to 1e-12 of those costs
     truth = _cost(P, Q, cfg)
     scenario = SimpleNamespace(pair=lambda d: (P, Q), truth=lambda d, eps: truth)
-    [(bias,)] = hz._bias_statistic(scenario, P.dim, cfg)([ms.SplitMix64(seed)], n)
+    [(bias,)] = hz._bias_statistic(scenario, P.dim, cfg)([ms.SplitMix64(seed)], [n])
     assert _close(bias, cost_d - truth, max(abs(cost_d), abs(truth)), eps)
 
     stream = ms.SplitMix64(seed)
@@ -102,7 +102,7 @@ def test_rate_values_on_count_weights_are_those_of_the_drawn_atoms(PQ, n, seed, 
     c = {name: _cost(X, Y, cfg) for name, (X, Y) in {
         "nn": (P_n, P_n), "np": (P_n, P), "pp": (P, P), "22": (P2_n, P2_n),
         "12": (P_n, P2_n)}.items()}
-    [(one, two)] = hz._divergence_statistic(scenario, P.dim, cfg)([ms.SplitMix64(seed)], n)
+    [(one, two)] = hz._divergence_statistic(scenario, P.dim, cfg)([ms.SplitMix64(seed)], [n])
     scale = max(map(abs, c.values()))
     assert _close(one, c["np"] - 0.5 * (c["nn"] + c["pp"]), scale, eps)
     assert _close(two, c["12"] - 0.5 * (c["nn"] + c["22"]), scale, eps)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -259,7 +260,7 @@ def test_determinism_across_threads_and_runs(monkeypatch, kind, d):
     r1 = hz.run_experiment(cfg, threads=1)
     pool_maps = force_pool(monkeypatch)  # these cells are below the size gate
     r2 = hz.run_experiment(cfg, threads=3)
-    assert pool_maps == [3] * len(cfg.n_list)
+    assert pool_maps == [3]  # one map per run of cells of one shape: here the row
     r3 = hz.run_experiment(cfg, threads=1)
     for fmt in EmitFormat:
         assert hz.render(r1, fmt) == hz.render(r2, fmt) == hz.render(r3, fmt)
@@ -267,14 +268,14 @@ def test_determinism_across_threads_and_runs(monkeypatch, kind, d):
 
 def _spy_statistic(monkeypatch, kind, wrap):
     """Route every chunk ``_run`` hands the statistic of ``kind`` through
-    ``wrap(stat, streams, n)``."""
-    statistic, labels, entries = hz._KINDS[kind]
+    ``wrap(stat, streams, ns)``."""
+    statistic, labels, shape = hz._KINDS[kind]
 
     def spy(scenario, d, solver):
         stat = statistic(scenario, d, solver)
-        return lambda streams, n: wrap(stat, streams, n)
+        return lambda streams, ns: wrap(stat, streams, ns)
 
-    monkeypatch.setitem(hz._KINDS, kind, (spy, labels, entries))
+    monkeypatch.setitem(hz._KINDS, kind, (spy, labels, shape))
 
 
 @pytest.mark.parametrize("kind, d", [
@@ -283,29 +284,67 @@ def _spy_statistic(monkeypatch, kind, wrap):
 ])
 def test_output_bytes_do_not_depend_on_the_chunk_size(monkeypatch, kind, d):
     cfg = _tiny_coverage(replicates=12) if kind is ExperimentKind.COVERAGE else _tiny_rate(kind, d)
-    sizes = []
+    chunks = []
 
-    def record(stat, streams, n):
-        sizes.append(len(streams))
-        return stat(streams, n)
+    def record(stat, streams, ns):
+        chunks.append(tuple(ns))
+        return stat(streams, ns)
 
     _spy_statistic(monkeypatch, kind, record)
     texts, chunkings = set(), set()
-    # chunks of one, of a few replicates, the default budget, one chunk per cell
+    # chunks of one, of a few replicates, the default budget, one chunk per row
     for budget in (0, 500, 1_000, 2_000, 5_000, 50_000, hz._CHUNK_ENTRIES, 1 << 62):
         monkeypatch.setattr(hz, "_CHUNK_ENTRIES", budget)
-        sizes.clear()
+        chunks.clear()
         result = hz.run_experiment(cfg, threads=1)
-        chunkings.add(tuple(sizes))
+        chunkings.add(tuple(chunks))
         texts.add(tuple(hz.render(result, fmt) for fmt in EmitFormat))
-    assert (1,) * (cfg.replicates * len(cfg.n_list)) in chunkings
-    assert (cfg.replicates,) * len(cfg.n_list) in chunkings
-    assert len(chunkings) >= 3
+    row = cfg.replicates * len(cfg.n_list)  # one (d, eps) row; the rate cells share a shape
+    sizes = {tuple(map(len, chunking)) for chunking in chunkings}
+    assert (1,) * row in sizes and (row,) in sizes and len(sizes) >= 3
+    # some budget ends a chunk of several replicates inside a cell
+    assert any(len(c) > 1 and end % cfg.replicates
+               for chunking in chunkings
+               for c, end in zip(chunking, itertools.accumulate(map(len, chunking))))
+    if kind is not ExperimentKind.COVERAGE:  # and some chunk spans both cells
+        assert any(len(set(c)) > 1 for chunking in chunkings for c in chunking)
     pool_maps = force_pool(monkeypatch)  # every cell to the pool, as chunks of one
-    sizes.clear()
+    chunks.clear()
     result = hz.run_experiment(cfg, threads=3)
-    assert pool_maps == [3] * len(cfg.n_list) and set(sizes) == {1}
+    assert pool_maps == [3] and set(map(len, chunks)) == {1}  # one map per row
     texts.add(tuple(hz.render(result, fmt) for fmt in EmitFormat))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("kind", [k for k in ExperimentKind if k is not ExperimentKind.COVERAGE],
+                         ids=lambda k: k.value)
+def test_rate_chunks_span_only_cells_of_one_operator_shape(monkeypatch, tmp_path, kind):
+    # a 15-atom P: at n = 10 a replicate keeps its 10 drawn atoms, at n = 20
+    # and 30 it is count-weighted on P's 15, so only those two cells share
+    # operators of one shape and may share a chunk
+    stream = ms.SeedSpec(SUITE_SEED, 95).stream()
+    for name, k in (("p", 15), ("q", 8)):
+        ms.write_measure(ms.uniform_on(stream.uniforms(2 * k).reshape(k, 2)),
+                         tmp_path / f"{name}.csv")
+    cfg = replace(_tiny_rate(kind, 2), n_list=(10, 20, 30), replicates=5,
+                  p_file=str(tmp_path / "p.csv"), q_file=str(tmp_path / "q.csv"))
+    chunks = []
+
+    def record(stat, streams, ns):
+        chunks.append(tuple(ns))
+        return stat(streams, ns)
+
+    _spy_statistic(monkeypatch, kind, record)
+    texts, chunkings = set(), set()
+    for budget in (0, 500, 1 << 62):
+        monkeypatch.setattr(hz, "_CHUNK_ENTRIES", budget)
+        chunks.clear()
+        result = hz.run_experiment(cfg, threads=1)
+        assert all(set(c) <= {10} or set(c) <= {20, 30} for c in chunks)
+        chunkings.add(tuple(chunks))
+        texts.add(tuple(hz.render(result, fmt) for fmt in EmitFormat))
+    assert ((10,) * 5, (20,) * 5 + (30,) * 5) in chunkings
+    assert any(set(c) == {20, 30} and len(c) < 10 for chunking in chunkings for c in chunking)
     assert len(texts) == 1
 
 
@@ -531,19 +570,19 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
     for n in (50, 800):
         seeds = [ms.derived_seed(cfg.seed, n, r) for r in range(3)]
         for seed in seeds:
-            P_n = hz._empirical(P, n, ms.SplitMix64(seed))  # the replicate's own measure
+            [P_n] = hz._empirical(P, n, [ms.SplitMix64(seed)])  # the replicate's own measure
             pair, _ = sk.solve(P_n, Q, cfg.solver)
             pair = sk.normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
             delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
             est = pot.holder_norm(delta, order, grid)
-            assert stat([ms.SplitMix64(seed)], n) == [(est.value**2, est.order_terms[0] ** 2)]
+            assert stat([ms.SplitMix64(seed)], [n]) == [(est.value**2, est.order_terms[0] ** 2)]
         # a chunk of replicates gives each one's lone value, also when every
         # kernel sum underflows and the stack of extensions redoes each alone
         for floor in (sk._KERNEL_FLOOR, np.inf):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(sk, "_KERNEL_FLOOR", floor)
-                chunk = stat([ms.SplitMix64(seed) for seed in seeds], n)
-                assert chunk == [stat([ms.SplitMix64(seed)], n)[0] for seed in seeds]
+                chunk = stat([ms.SplitMix64(seed) for seed in seeds], [n] * len(seeds))
+                assert chunk == [stat([ms.SplitMix64(seed)], [n])[0] for seed in seeds]
 
 
 def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
@@ -564,10 +603,10 @@ def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
     assert K.shape == (41 * 41, 10) and M.shape == (10, 5)
     assert not K.flags.writeable and not M.flags.writeable
     before = K.copy(), M.copy()
-    [kernel] = stat([ms.SplitMix64(7)], 50)
+    [kernel] = stat([ms.SplitMix64(7)], [50])
     with monkeypatch.context() as m:
         m.setattr(sk, "_KERNEL_FLOOR", np.inf)
-        [log] = stat([ms.SplitMix64(7)], 50)
+        [log] = stat([ms.SplitMix64(7)], [50])
     assert log == pytest.approx(kernel, rel=1e-12)
     assert np.array_equal(K, before[0]) and np.array_equal(M, before[1])
 
@@ -578,9 +617,9 @@ def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
     # evaluates their extensions in groups whose twelve 41 x 41 grid tables
     # each fit it too; the traced peak of the chunk's statistic, samples and
     # solves included, stays below that budget in float64 bytes, plus a
-    # quarter (0.8 of it measured at n = 50 and 800, in chunks of 12 and
-    # groups of 6). The shared grid kernel and monomials stay read-only and
-    # unwritten.
+    # quarter (0.83 of it measured at n = 50 and 800, in one chunk of 24
+    # across both cells and groups of 6). The shared grid kernel and
+    # monomials stay read-only and unwritten.
     cfg = replace(hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt"),
                   n_list=(50, 800), replicates=12)
     built = []
@@ -593,10 +632,10 @@ def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
     monkeypatch.setattr(hz, "_kernel_tables", kernel_tables)
     sizes, peaks = [], []
 
-    def traced(stat, streams, n):
+    def traced(stat, streams, ns):
         tracemalloc.start()
         try:
-            out = stat(streams, n)
+            out = stat(streams, ns)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

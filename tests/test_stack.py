@@ -183,8 +183,8 @@ def test_stacked_solved_costs_match_lone_ones(eps):
 
 def _draws(P, n, count, seed):
     """``count`` count-weighted empirical measures of n draws on P's atoms."""
-    return [hz._empirical(P, n, ms.SplitMix64(ms.derived_seed(SUITE_SEED, seed, r)))
-            for r in range(count)]
+    return hz._empirical(P, n, [ms.SplitMix64(ms.derived_seed(SUITE_SEED, seed, r))
+                                for r in range(count)])
 
 
 @pytest.mark.parametrize("floor, path", [(sk._KERNEL_FLOOR, "kernel"), (np.inf, "kernel+log")],
