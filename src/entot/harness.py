@@ -44,6 +44,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +243,7 @@ class _GaussianScenario:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
 
-    def sample_pairs(self, streams, d: int, n: int) -> list:
+    def sample_pairs(self, d: int, n: int, streams) -> list:
         """One (P_n, Q_n) per stream, each stream drawing P_n first."""
         return list(zip(_gaussian_rows(np.zeros(d), 1.0, n, streams),
                         _gaussian_rows(np.full(d, math.sqrt(2.0)), 1.0, n, streams)))
@@ -281,7 +282,7 @@ class _DiscreteScenario:
     def pair(self, d: int) -> tuple[DiscreteMeasure, DiscreteMeasure]:
         return self._pairs[d]
 
-    def sample_pairs(self, streams, d: int, n: int) -> list:
+    def sample_pairs(self, d: int, n: int, streams) -> list:
         """One (P_n, Q_n) per stream, each stream drawing P_n first."""
         P, Q = self._pairs[d]
         return list(zip(_empirical_rows(P, n, streams), _empirical_rows(Q, n, streams)))
@@ -318,7 +319,7 @@ def _outcome(results: tuple, value):
 
 
 def _drawn(draw, streams, ns) -> list:
-    """``draw(block, n)`` over a chunk's replicates, in order: one block per
+    """``draw(n, block)`` over a chunk's replicates, in order: one block per
     run of consecutive replicates of one n, cut to at most
     ``_CHUNK_ENTRIES // (2 * n)`` streams, so that a block of n uniforms per
     stream and its one temporary fit ``_CHUNK_ENTRIES`` entries."""
@@ -327,7 +328,7 @@ def _drawn(draw, streams, ns) -> list:
         run = [stream for _, stream in run]
         size = max(1, _CHUNK_ENTRIES // (2 * n))
         for start in range(0, len(run), size):
-            out += draw(run[start:start + size], n)
+            out += draw(n, run[start:start + size])
     return out
 
 
@@ -352,7 +353,7 @@ def _coverage_statistic(scenario, d: int, solver: SolverConfig):
     alpha = scenario.cfg.alpha
 
     def stat(streams, ns):
-        Ps, Qs = zip(*_drawn(lambda block, n: scenario.sample_pairs(block, d, n), streams, ns))
+        Ps, Qs = zip(*_drawn(partial(scenario.sample_pairs, d), streams, ns))
         return [_outcome((ci,), lambda ci: (1 if ci.contains(truth) else 0, ci.half_width))
                 for ci in _ci_two_sample_stack(Ps, Qs, solver, alpha)]
 
@@ -365,7 +366,7 @@ def _bias_statistic(scenario, d: int, solver: SolverConfig):
     truth = scenario.truth(d, solver.eps)
 
     def stat(streams, ns):
-        Ps = _drawn(lambda block, n: _empirical(P, n, block), streams, ns)
+        Ps = _drawn(partial(_empirical, P), streams, ns)
         return [_outcome((x,), lambda x: (x[2] - truth,))
                 for x in _solved_costs(Ps, [Q] * len(Ps), solver)]
 
@@ -413,7 +414,7 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
         return [(sum(t) ** 2, t[0] ** 2) for t in zip(*(term.tolist() for term in terms))]
 
     def stat(streams, ns):
-        Ps = _drawn(lambda block, n: _empirical(P, n, block), streams, ns)
+        Ps = _drawn(partial(_empirical, P), streams, ns)
         solved = _solve_stack(Ps, [Q] * len(Ps), solver)
         kept = [(P_n, x[0]) for P_n, x in zip(Ps, solved) if not isinstance(x, NotConverged)]
         if not kept:
@@ -439,9 +440,8 @@ def _divergence_statistic(scenario, d: int, solver: SolverConfig):
     s_pop_self = _solved_cost(P, P, solver)[2]
 
     def stat(streams, ns):
-        # each stream draws its first measure, then its second
-        Ps, P2s = (_drawn(lambda block, n: _empirical(P, n, block), streams, ns)
-                   for _ in range(2))
+        Ps = _drawn(partial(_empirical, P), streams, ns)
+        P2s = _drawn(partial(_empirical, P), streams, ns)  # each stream's second draw
         s_nn = _solved_costs(Ps, Ps, solver)
         s_np = _solved_costs(Ps, [P] * len(Ps), solver)
         s_22 = _solved_costs(P2s, P2s, solver)

@@ -115,7 +115,7 @@ def test_drawn_chunks_cut_into_blocks_are_each_streams_lone_draws(streams, P, ns
     ns = sorted(ns)[:len(block)]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hz, "_CHUNK_ENTRIES", budget)
-        drawn = hz._drawn(lambda streams, n: hz._empirical(P, n, streams), block, ns)
+        drawn = hz._drawn(lambda n, streams: hz._empirical(P, n, streams), block, ns)
     _same_measures(drawn, [hz._empirical(P, n, [s])[0] for s, n in zip(alone, ns)])
     _same_counters(block, alone)
 
