@@ -14,25 +14,28 @@ of a row whose replicates' transport operators have one shape (``_KINDS``):
 every rate cell with n at least the population's size, while coverage cells
 of different n keep chunks of their own. A statistic maps a chunk (one
 stream and one n per replicate) to one tuple of values per replicate, None
-for a replicate whose solve did not converge. It draws the chunk's samples
-as blocks, one per run of replicates of one n (``_drawn``), and solves its
-transport problems as one stack (``sinkhorn._solve_stack``), so small
-problems share each draw's and each half-step's numpy calls, and each
+for a replicate whose solve did not converge. It keeps the chunk as arrays
+from the draw to its values: it draws the chunk's samples as one block of
+measures (``_drawn``), points ``(R, n, d)`` or one support shared by every
+row, and weights ``(R, n)``; it solves their transport problems as one stack
+(``sinkhorn._solve_stack``), whose record holds one row per problem; and it
+reduces the record's rows to values, with its converged mask for None. So
+small problems share each draw's and each half-step's numpy calls, and each
 replicate's values are those of a lone run bit for bit. The rate kinds draw
 an empirical measure of n points from a population of at most n atoms on the
 population's own atoms, with count weights (``_empirical``), so a stack of
-their problems shares one Gibbs kernel of the population's size. A chunk
-holds as many replicates as ``_CHUNK_ENTRIES`` entries hold of their largest
-transport operators, counted from entry counts alone. A cell whose
-replicates' largest transport operator has at least ``_POOL_MIN_ENTRIES``
-entries runs chunks of one instead, fanned out to a thread pool of at most
-one worker per usable CPU; smaller replicates are mostly GIL-held numpy calls
-on short vectors, so their cells run in the calling thread, where a second
-thread would only slow them down. No chunk size or thread count changes an
-output byte. Two reductions turn the loop's output into results: coverage
-cells (hit rate and mean half-width) and rate curves (one curve per tuple
-position, with a log-log slope fit). A new experiment kind is one statistic
-plus one reduction.
+their problems shares one support and one Gibbs kernel of the population's
+size. A chunk holds as many replicates as ``_CHUNK_ENTRIES`` entries hold of
+their largest transport operators, or of their solver state, whichever is
+larger. A cell whose replicates' largest transport operator has at least
+``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out to a
+thread pool of at most one worker per usable CPU; smaller replicates are
+mostly GIL-held numpy calls on short vectors, so their cells run in the
+calling thread, where a second thread would only slow them down. No chunk
+size or thread count changes an output byte. Two reductions turn the loop's
+output into results: coverage cells (hit rate and mean half-width) and rate
+curves (one curve per tuple position, with a log-log slope fit). A new
+experiment kind is one statistic plus one reduction.
 """
 
 from __future__ import annotations
@@ -49,17 +52,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NotConverged
+from .errors import ConfigError
 from .inference import _ci_two_sample_stack
 from .measures import (
     _MASK64,
     CompactDomain,
     DiscreteMeasure,
     SplitMix64,
+    _block,
     _draw_rows,
     _empirical_rows,
     _gaussian_rows,
-    _measure_rows,
     derived_seed,
     fmt17,
     load_measure,
@@ -68,7 +71,7 @@ from .oracle import GaussianPairSpec, gaussian_cost
 from .potentials import (GridSpec, HolderOrder, _extensions, _kernel_tables, _order_terms,
                          f_extension, multi_indices)
 from .sinkhorn import (DENSE_ENTRY_LIMIT, Normalization, SolverConfig, _shift, _solve_stack,
-                       _solved_cost, _solved_costs, normalize, solve)
+                       _solved_cost, normalize, solve)
 
 _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draws
 
@@ -84,21 +87,26 @@ _TRUTH_TOL = 1e-12  # population problems are solved well below replicate tol
 _POOL_MIN_ENTRIES = 1 << 17
 
 # A smaller cell runs its replicates in stacked chunks of as many as fit this
-# many entries (1 MB of float64) of their largest transport operators, and a
-# chunk of same-shaped operators may span the cells of its (d, eps) row. The
-# count leaves out each problem's solver state, which outweighs a shared
-# 10 x 10 kernel: the potential-rate desk row, one chunk of 1000
-# count-weighted replicates, peaks at 3.2 MB traced, against 1.2 MB for one
-# cell's 200. A chunk's draws come in blocks (_drawn), and the potential-rate
-# statistic evaluates its extensions in stacks, that each fit this budget.
-# On a 2-vCPU VM, 100 x 100 coverage intervals at eps = 2 took 0.87 ms each
-# in chunks of 13, against 1.50 ms one at a time; 250 x 250 ones about 4%
-# less in chunks of 2. The potential-rate desk cells, in chunks of 4 to 6,
-# ran 1.7x the replicates per second at 4.5% more peak RSS (twice this
-# budget measured +6%). At 20 replicates a cell, drawing the chunks as
-# blocks took 0.85 of the wall time of per-replicate draws, and one chunk per
-# row instead of per cell 0.84 of the rest.
+# many entries (1 MB of float64) of their largest transport operators, and of
+# their solver state (_STATE_ROWS), and a chunk of same-shaped operators may
+# span the cells of its (d, eps) row. A chunk's draws come in blocks (_drawn),
+# and the potential-rate statistic evaluates its extensions in stacks, that
+# each fit this budget. On a 2-vCPU VM, 100 x 100 coverage intervals at eps =
+# 2 took 0.87 ms each in chunks of 13, against 1.50 ms one at a time; 250 x
+# 250 ones about 4% less in chunks of 2. The potential-rate desk cells, in
+# chunks of 4 to 6, ran 1.7x the replicates per second at 4.5% more peak RSS
+# (twice this budget measured +6%). At 20 replicates a cell, drawing the
+# chunks as blocks took 0.85 of the wall time of per-replicate draws, and one
+# chunk per row instead of per cell 0.84 of the rest.
 _CHUNK_ENTRIES = 1 << 17
+
+# A stacked problem's solver state (points, images, residuals, mixing history,
+# weights and results), in float64 rows of its operator's longer side: 2.3 KB
+# a problem in a stack of 10 x 10 count-weighted problems, traced with
+# tracemalloc. A stack shares such a kernel, so from about 450 replicates the
+# state outweighs it; the potential-rate desk row, one chunk of 1000 without
+# this term, peaked at 2.3x the budget traced.
+_STATE_ROWS = 29
 
 
 class ExperimentKind(enum.Enum):
@@ -243,10 +251,10 @@ class _GaussianScenario:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
 
-    def sample_pairs(self, d: int, n: int, streams) -> list:
-        """One (P_n, Q_n) per stream, each stream drawing P_n first."""
-        return list(zip(_gaussian_rows(np.zeros(d), 1.0, n, streams),
-                        _gaussian_rows(np.full(d, math.sqrt(2.0)), 1.0, n, streams)))
+    def samplers(self, d: int) -> tuple:
+        """The draws ``(n, streams) -> block`` of P_n and of Q_n."""
+        return (partial(_gaussian_rows, np.zeros(d), 1.0),
+                partial(_gaussian_rows, np.full(d, math.sqrt(2.0)), 1.0))
 
     def truth(self, d: int, eps: float) -> float:
         return gaussian_cost(GaussianPairSpec(d, eps))
@@ -282,10 +290,9 @@ class _DiscreteScenario:
     def pair(self, d: int) -> tuple[DiscreteMeasure, DiscreteMeasure]:
         return self._pairs[d]
 
-    def sample_pairs(self, d: int, n: int, streams) -> list:
-        """One (P_n, Q_n) per stream, each stream drawing P_n first."""
-        P, Q = self._pairs[d]
-        return list(zip(_empirical_rows(P, n, streams), _empirical_rows(Q, n, streams)))
+    def samplers(self, d: int) -> tuple:
+        """The draws ``(n, streams) -> block`` of P_n and of Q_n."""
+        return tuple(partial(_empirical_rows, M) for M in self._pairs[d])
 
     def truth(self, d: int, eps: float) -> float:
         P, Q = self._pairs[d]
@@ -306,45 +313,45 @@ def _scenario_for(cfg: ExperimentConfig):
 # stream and one sample size per replicate, to one tuple, or None, per stream
 
 
-def _outcome(results: tuple, value):
-    """``value(*results)`` for one replicate's stacked results, in the order a
-    lone replicate meets them: None from the first whose solve did not
-    converge; any other error is raised."""
-    for result in results:
-        if isinstance(result, NotConverged):
-            return None
-        if isinstance(result, Exception):
-            raise result
-    return value(*results)
+def _tuples(columns, converged) -> list:
+    """Per replicate, its entries of ``columns`` as one tuple, or None where
+    ``converged`` is False (where a lone solve raises NotConverged)."""
+    rows = zip(*(column.tolist() for column in columns))
+    return [row if ok else None for row, ok in zip(rows, converged.tolist())]
 
 
-def _drawn(draw, streams, ns) -> list:
-    """``draw(n, block)`` over a chunk's replicates, in order: one block per
-    run of consecutive replicates of one n, cut to at most
-    ``_CHUNK_ENTRIES // (2 * n)`` streams, so that a block of n uniforms per
-    stream and its one temporary fit ``_CHUNK_ENTRIES`` entries."""
-    out = []
+def _drawn(draw, streams, ns) -> tuple:
+    """``draw(n, block)`` over a chunk's replicates, in order, as one block
+    ``(points, weights)`` (``measures._block``): one draw per run of
+    consecutive replicates of one n, cut to at most ``_CHUNK_ENTRIES // (2 *
+    n)`` streams, so that a block of n uniforms per stream and its one
+    temporary fit ``_CHUNK_ENTRIES`` entries. A chunk's replicates share one
+    operator shape (``_run``), so their draws share a support or a shape."""
+    blocks = []
     for n, run in itertools.groupby(zip(ns, streams), key=lambda job: job[0]):
         run = [stream for _, stream in run]
         size = max(1, _CHUNK_ENTRIES // (2 * n))
-        for start in range(0, len(run), size):
-            out += draw(n, run[start:start + size])
-    return out
+        blocks += [draw(n, run[start:start + size]) for start in range(0, len(run), size)]
+    if len(blocks) == 1:
+        return blocks[0]
+    points, weights = zip(*blocks)
+    return (points[0] if points[0].ndim == 2 else np.concatenate(points),
+            np.concatenate(weights))
 
 
-def _empirical(P: DiscreteMeasure, n: int, streams) -> list:
-    """The empirical measures of n draws from P, one per stream, from the
-    uniforms and in the stream position of :func:`sample_empirical`. When P
-    has at most n atoms each is given on P's own atoms, weighted by their
-    counts of draws over n (a never-drawn atom weighs 0): the same measure
-    with the smaller support, so each of its transport problems is one on
-    P's support."""
+def _empirical(P: DiscreteMeasure, n: int, streams) -> tuple:
+    """The block of empirical measures of n draws from P, one per stream,
+    from the uniforms and in the stream position of :func:`sample_empirical`.
+    When P has at most n atoms they are given on P's own atoms, weighted by
+    their counts of draws over n (a never-drawn atom weighs 0): the same
+    measures with the smaller support, one shared by the block, so each of
+    their transport problems is one on P's support."""
     if P.n > n:
         return _empirical_rows(P, n, streams)
     idx = _draw_rows(P, n, streams)
     idx += P.n * np.arange(len(streams))[:, None]  # row r counts into its own |P| bins
     counts = np.bincount(idx.ravel(), minlength=len(streams) * P.n)
-    return _measure_rows(P.points, counts.reshape(len(streams), P.n) / n)
+    return _block(P.points, counts.reshape(len(streams), P.n) / n)
 
 
 def _coverage_statistic(scenario, d: int, solver: SolverConfig):
@@ -353,9 +360,11 @@ def _coverage_statistic(scenario, d: int, solver: SolverConfig):
     alpha = scenario.cfg.alpha
 
     def stat(streams, ns):
-        Ps, Qs = zip(*_drawn(partial(scenario.sample_pairs, d), streams, ns))
-        return [_outcome((ci,), lambda ci: (1 if ci.contains(truth) else 0, ci.half_width))
-                for ci in _ci_two_sample_stack(Ps, Qs, solver, alpha)]
+        # every stream draws P_n, then Q_n
+        (X, a), (Y, b) = (_drawn(draw, streams, ns) for draw in scenario.samplers(d))
+        centers, half_widths, converged = _ci_two_sample_stack(X, a, Y, b, solver, alpha)
+        hits = (centers - half_widths <= truth) & (truth <= centers + half_widths)
+        return _tuples((hits.astype(int), half_widths), converged)
 
     return stat
 
@@ -366,9 +375,9 @@ def _bias_statistic(scenario, d: int, solver: SolverConfig):
     truth = scenario.truth(d, solver.eps)
 
     def stat(streams, ns):
-        Ps = _drawn(partial(_empirical, P), streams, ns)
-        return [_outcome((x,), lambda x: (x[2] - truth,))
-                for x in _solved_costs(Ps, [Q] * len(Ps), solver)]
+        solved = _solve_stack(*_drawn(partial(_empirical, P), streams, ns),
+                              Q.points, Q.weights, solver)
+        return _tuples((solved.cost - truth,), solved.converged)
 
     return stat
 
@@ -383,23 +392,23 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
     """(holder_sq, sup_sq): the squared grid norm of (empirical minus
     population) f potentials, and its squared sup-norm term alone.
 
-    The grid-to-Q kernel and Q's monomials, and the population side f*'s
+    The grid-to-Q tables (``_kernel_tables``), and the population side f*'s
     grid tables, are fixed per (d, eps): they are built here once and
     shared, read-only, by every replicate. A chunk's transport problems,
     which span the cells of a row when the population has at most n atoms,
-    are solved as one stack; its extensions are evaluated on those tables in
-    one run of stacks of as many replicates as fit ``_CHUNK_ENTRIES`` entries
-    of grid tables, and f*'s tables are subtracted as
-    :class:`PotentialDifference` does, so each value is bit-identical to
-    ``holder_norm(PotentialDifference(f_n, f*), ...)``."""
+    are solved as one stack; its converged extensions are evaluated on those
+    tables in one run of stacks of as many replicates as fit
+    ``_CHUNK_ENTRIES`` entries of grid tables, and f*'s tables are
+    subtracted as :class:`PotentialDifference` does, so each value is
+    bit-identical to ``holder_norm(PotentialDifference(f_n, f*), ...)``."""
     P, Q = scenario.pair(d)
     pts = GridSpec.default(CompactDomain.enclosing(P, Q)).points()
     s = HolderOrder.for_dimension(d).s
     alphas = multi_indices(d, s)
-    tables = _kernel_tables(pts, Q.points, solver.eps, s)
+    tables = _kernel_tables(pts, Q, solver.eps, s)
     pop_pair, _ = solve(P, Q, _tight_solver(scenario.cfg, solver.eps))
     star = f_extension(normalize(pop_pair, P, Q, Normalization.ZERO_G_MEAN), Q)._evaluate(
-        pts, alphas, *tables)
+        tables, alphas)
     for table in star.values():
         table.flags.writeable = False
     # values, raw moments, cumulants and derivatives on the grid, with their
@@ -407,25 +416,21 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
     group = max(1, _CHUNK_ENTRIES // (12 * len(pts)))
 
     def holder_terms(g):
-        lt = _extensions(g, Q, solver.eps, pts, alphas, *tables)
+        lt = _extensions(g, tables, alphas)
         for a in lt:
             lt[a] -= star[a]
         terms = _order_terms(lt, alphas, s)
         return [(sum(t) ** 2, t[0] ** 2) for t in zip(*(term.tolist() for term in terms))]
 
     def stat(streams, ns):
-        Ps = _drawn(partial(_empirical, P), streams, ns)
-        solved = _solve_stack(Ps, [Q] * len(Ps), solver)
-        kept = [(P_n, x[0]) for P_n, x in zip(Ps, solved) if not isinstance(x, NotConverged)]
-        if not kept:
-            return [None] * len(solved)
-        _, g = _shift(np.stack([pair.f for _, pair in kept]),
-                      np.stack([pair.g for _, pair in kept]),
-                      np.stack([P_n.weights for P_n, _ in kept]), Q.weights,
+        X, a = _drawn(partial(_empirical, P), streams, ns)
+        solved = _solve_stack(X, a, Q.points, Q.weights, solver)
+        kept = solved.converged
+        _, g = _shift(solved.f[kept], solved.g[kept], a[kept], Q.weights,
                       Normalization.ZERO_G_MEAN)
         values = iter([v for start in range(0, len(g), group)
                        for v in holder_terms(g[start:start + group])])
-        return [None if isinstance(x, NotConverged) else next(values) for x in solved]
+        return [next(values) if ok else None for ok in kept.tolist()]
 
     return stat
 
@@ -440,15 +445,13 @@ def _divergence_statistic(scenario, d: int, solver: SolverConfig):
     s_pop_self = _solved_cost(P, P, solver)[2]
 
     def stat(streams, ns):
-        Ps = _drawn(partial(_empirical, P), streams, ns)
-        P2s = _drawn(partial(_empirical, P), streams, ns)  # each stream's second draw
-        s_nn = _solved_costs(Ps, Ps, solver)
-        s_np = _solved_costs(Ps, [P] * len(Ps), solver)
-        s_22 = _solved_costs(P2s, P2s, solver)
-        s_12 = _solved_costs(Ps, P2s, solver)
-        return [_outcome(r, lambda nn, np_, s22, s12: (
-                    np_[2] - 0.5 * (nn[2] + s_pop_self), s12[2] - 0.5 * (nn[2] + s22[2])))
-                for r in zip(s_nn, s_np, s_22, s_12)]
+        # every stream draws P_n, then its second sample
+        (X, a), (X2, a2) = (_drawn(partial(_empirical, P), streams, ns) for _ in range(2))
+        nn, np_, s22, s12 = (_solve_stack(*problem, solver) for problem in (
+            (X, a, X, a), (X, a, P.points, P.weights), (X2, a2, X2, a2), (X, a, X2, a2)))
+        return _tuples((np_.cost - 0.5 * (nn.cost + s_pop_self),
+                        s12.cost - 0.5 * (nn.cost + s22.cost)),
+                       nn.converged & np_.converged & s22.converged & s12.converged)
 
     return stat
 
@@ -577,8 +580,9 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
                 entries = math.prod(shape)
                 if entries >= _POOL_MIN_ENTRIES:
                     size, fan_out = 1, map if pool is None else pool.map
-                else:
-                    size, fan_out = max(1, _CHUNK_ENTRIES // entries), map
+                else:  # a replicate counts its operator or its solver state
+                    size = max(1, _CHUNK_ENTRIES // max(entries, _STATE_ROWS * max(shape)))
+                    fan_out = map
                 jobs = [(index, n, r) for index, (_, _, n) in run for r in range(reps)]
 
                 def run_chunk(chunk, stat=stat):

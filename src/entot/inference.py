@@ -12,10 +12,12 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch, OutOfRange
 from .measures import DiscreteMeasure
-from .sinkhorn import (PotentialPair, SolverConfig, _check_pair_dims, _dot, _lone,
-                       _solved_cost, _solved_costs)
+from .sinkhorn import (PotentialPair, SolverConfig, _check_pair_dims, _dot, _solve_stack,
+                       _solved_cost)
 
 _SQRT_2 = math.sqrt(2.0)
 
@@ -61,9 +63,17 @@ class DivergenceValue:
     parts: tuple[float, float, float]  # (S_PQ, S_PP, S_QQ)
 
 
-def _weighted_variance(values, weights) -> float:
-    centered = values - _dot(values, weights)
-    return max(0.0, _dot(centered * centered, weights))
+def _weighted_variance(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Variance of each row of ``values`` under its row of ``weights``; a
+    rounding below 0 is clamped to 0, and a NaN stays NaN."""
+    centered = values - _dot(values, weights)[:, None]
+    return np.maximum(0.0, _dot(centered * centered, weights))
+
+
+def _two_sample_variance(f, a, g, b) -> np.ndarray:
+    """``m/(n+m) * Var(f) + n/(n+m) * Var(g)`` of each row pair."""
+    n, m = f.shape[-1], g.shape[-1]
+    return (m / (n + m)) * _weighted_variance(f, a) + (n / (n + m)) * _weighted_variance(g, b)
 
 
 def variance_one_sample(P_n: DiscreteMeasure, pair: PotentialPair) -> VarianceEstimate:
@@ -73,7 +83,7 @@ def variance_one_sample(P_n: DiscreteMeasure, pair: PotentialPair) -> VarianceEs
             f"f has {pair.f.shape[0]} entries but the measure has {P_n.n} atoms"
         )
     return VarianceEstimate(
-        value=_weighted_variance(pair.f, P_n.weights),
+        value=float(_weighted_variance(pair.f[None], P_n.weights[None])[0]),
         kind=VarianceKind.ONE_SAMPLE,
         n=P_n.n,
     )
@@ -83,11 +93,8 @@ def variance_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure,
                         pair: PotentialPair) -> VarianceEstimate:
     """Convex combination m/(n+m) * Var(f) + n/(n+m) * Var(g)."""
     _check_pair_dims(P_n, Q_m, pair)
-    n, m = P_n.n, Q_m.n
-    var_f = _weighted_variance(pair.f, P_n.weights)
-    var_g = _weighted_variance(pair.g, Q_m.weights)
-    value = (m / (n + m)) * var_f + (n / (n + m)) * var_g
-    return VarianceEstimate(value=value, kind=VarianceKind.TWO_SAMPLE, n=n, m=m)
+    value = _two_sample_variance(pair.f[None], P_n.weights[None], pair.g[None], Q_m.weights[None])
+    return VarianceEstimate(value=float(value[0]), kind=VarianceKind.TWO_SAMPLE, n=P_n.n, m=Q_m.n)
 
 
 def normal_cdf(x: float) -> float:
@@ -137,26 +144,24 @@ def ci_one_sample(P_n: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
 def ci_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure, cfg: SolverConfig,
                   alpha: float) -> ConfidenceInterval:
     """Interval for the population cost from two empirical measures."""
-    return _lone(_ci_two_sample_stack((P_n,), (Q_m,), cfg, alpha))
-
-
-def _ci_two_sample_stack(Ps, Qs, cfg: SolverConfig, alpha: float) -> list:
-    """:func:`ci_two_sample` of each pair ``(Ps[r], Qs[r])`` of a stack, solved
-    as one stack; a solve's error is returned, not raised."""
     z = _two_sided_z(alpha)
-    out = []
-    for P_n, Q_m, solved in zip(Ps, Qs, _solved_costs(Ps, Qs, cfg)):
-        if not isinstance(solved, Exception):
-            pair, _, center = solved
-            var = variance_two_sample(P_n, Q_m, pair)
-            solved = ConfidenceInterval(
-                center=center,
-                half_width=two_sample_half_width(var.value, var.n, var.m, z),
-                level=1.0 - alpha,
-                variance=var,
-            )
-        out.append(solved)
-    return out
+    pair, _, center = _solved_cost(P_n, Q_m, cfg)
+    var = variance_two_sample(P_n, Q_m, pair)
+    return ConfidenceInterval(center, two_sample_half_width(var.value, var.n, var.m, z),
+                              1.0 - alpha, var)
+
+
+def _ci_two_sample_stack(X, a, Y, b, cfg: SolverConfig, alpha: float) -> tuple:
+    """:func:`ci_two_sample` of each problem of a stack, solved as one
+    (``sinkhorn._solve_stack``; ``a`` and ``b`` are weight rows), as rows
+    ``(centers, half_widths, converged)``. Row r is problem r's lone interval
+    where ``converged`` is True, which is where its lone solve does not raise
+    :class:`NotConverged`."""
+    z = _two_sided_z(alpha)
+    solved = _solve_stack(X, a, Y, b, cfg)
+    n, m = a.shape[1], b.shape[1]
+    var = _two_sample_variance(solved.f, a, solved.g, b)
+    return solved.cost, z * np.sqrt(var * (n + m) / (n * m)), solved.converged
 
 
 def sinkhorn_divergence(P: DiscreteMeasure, Q: DiscreteMeasure,

@@ -8,13 +8,14 @@ Draws come in blocks: one array serves several streams, row r holding stream
 r's next draws, and the one-stream samplers (:meth:`SplitMix64.u64_block`,
 :func:`sample_gaussian`, :func:`sample_empirical`) are blocks of one row. The
 arithmetic is elementwise, so every row equals its stream's draws taken
-alone, bit for bit. A block's measures are frozen, C-contiguous row views of
-one points block and one weights block, checked once for the whole block.
+alone, bit for bit. A block of measures is a ``(points, weights)`` pair of
+frozen, C-contiguous float64 arrays, checked once for the whole block:
+weights ``(R, n)``, one row per stream, and points ``(R, n, d)``, or one
+``(n, d)`` support that every row weights; no per-measure object is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,22 +187,15 @@ def _check_measures(points: np.ndarray, weights: np.ndarray) -> None:
         raise NonSimplexWeights(f"weights sum to {off[0]!r}, more than 1e-12 away from 1")
 
 
-def _measure_rows(points: np.ndarray, weights: np.ndarray) -> list:
-    """The measures on the rows of a block: ``weights`` is ``(R, n)`` and
-    ``points`` ``(R, n, d)``, or one ``(n, d)`` support for every row, all
-    C-contiguous float64. The block is checked once (:func:`_check_measures`)
-    and frozen; measure r holds row views of it, which are C-contiguous too
-    (``sinkhorn._dot`` sums rows by their strides)."""
+def _block(points: np.ndarray, weights: np.ndarray) -> tuple:
+    """A block of measures, ``(points, weights)``: ``weights`` is ``(R, n)``
+    and ``points`` ``(R, n, d)``, or one ``(n, d)`` support for every row, all
+    C-contiguous float64 (``sinkhorn._dot`` sums rows by their strides). The
+    block is checked once (:func:`_check_measures`) and frozen."""
     _check_measures(points, weights)
     points.flags.writeable = False
     weights.flags.writeable = False
-    out = []
-    for pts, w in zip(points if points.ndim == 3 else itertools.repeat(points), weights):
-        measure = object.__new__(DiscreteMeasure)
-        object.__setattr__(measure, "points", pts)
-        object.__setattr__(measure, "weights", w)
-        out.append(measure)
-    return out
+    return points, weights
 
 
 def dirac(point) -> DiscreteMeasure:
@@ -334,13 +328,14 @@ def sample_empirical(source: DiscreteMeasure, n: int, seed) -> DiscreteMeasure:
     Inverse-CDF sampling over the cumulative weights, one uniform per draw,
     so output is deterministic and order-stable given the seed.
     """
-    return _empirical_rows(source, n, (_resolve_stream(seed),))[0]
+    points, weights = _empirical_rows(source, n, (_resolve_stream(seed),))
+    return DiscreteMeasure(points[0], weights[0])
 
 
-def _empirical_rows(source: DiscreteMeasure, n: int, streams) -> list:
+def _empirical_rows(source: DiscreteMeasure, n: int, streams) -> tuple:
     """:func:`sample_empirical` of each stream, as one block."""
     idx = _draw_rows(source, n, streams)
-    return _measure_rows(source.points[idx], np.full(idx.shape, 1.0 / n))
+    return _block(source.points[idx], np.full(idx.shape, 1.0 / n))
 
 
 def _draw_rows(source: DiscreteMeasure, n: int, streams) -> np.ndarray:
@@ -360,10 +355,11 @@ def sample_gaussian(mean, variance_scale: float, n: int, seed) -> DiscreteMeasur
 
     Box-Muller on the seeded stream; both outputs of each pair are consumed.
     """
-    return _gaussian_rows(mean, variance_scale, n, (_resolve_stream(seed),))[0]
+    points, weights = _gaussian_rows(mean, variance_scale, n, (_resolve_stream(seed),))
+    return DiscreteMeasure(points[0], weights[0])
 
 
-def _gaussian_rows(mean, variance_scale: float, n: int, streams) -> list:
+def _gaussian_rows(mean, variance_scale: float, n: int, streams) -> tuple:
     """:func:`sample_gaussian` of each stream, as one block."""
     if not (math.isfinite(variance_scale) and variance_scale > 0):
         raise ValueError("variance_scale must be positive and finite")
@@ -383,7 +379,7 @@ def _gaussian_rows(mean, variance_scale: float, n: int, streams) -> list:
     vals[:, 0::2] = radius * np.cos(angle)
     vals[:, 1::2] = radius * np.sin(angle)
     pts = mu + math.sqrt(variance_scale) * vals[:, :total].reshape(len(streams), n, d)
-    return _measure_rows(pts, np.full((len(streams), n), 1.0 / n))
+    return _block(pts, np.full((len(streams), n), 1.0 / n))
 
 
 def rescale_measure(measure: DiscreteMeasure, eps: float) -> DiscreteMeasure:

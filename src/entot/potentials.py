@@ -11,8 +11,13 @@ and the opposite support: one kernel half-step of the solver gives the
 extension values, and one product of the kernel with the scaled monomials of
 the opposite support gives every raw moment. Where a kernel row sum falls
 below the solver's ``_KERNEL_FLOOR`` the evaluation is redone in the log
-domain. A caller evaluating many extensions over one support at the same
-points builds the kernel once (``_kernel_tables``).
+domain. Everything that does not depend on the potential (the kernel, the
+monomials, the multi-indices, the quadratic terms and the cumulant recursion)
+is built once per (points, support, eps, order) by ``_kernel_tables``.
+``_extensions`` evaluates a stack of potentials on those tables, one row per
+potential: their values as one half-step, and their raw moments as one
+product of the kernel with every potential's scaled monomials.
+:meth:`ExtendedPotential.evaluate` is a stack of one.
 
 Derivatives are implemented at eps = 1 only; callers wanting other eps
 rescale the measures first and use the scaling identity.
@@ -24,6 +29,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from math import comb, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,20 +71,32 @@ def cumulants_from_moments(moments: dict) -> dict:
         kappa_alpha = m_alpha - sum_{beta < alpha'} C(alpha', beta)
                       * kappa_{beta + e_i} * m_{alpha' - beta}.
     """
-    cumulants: dict = {}
     orders = sorted((a for a in moments if sum(a) >= 1), key=lambda a: (sum(a), a))
+    return _cumulants(moments, _cumulant_plan(orders))
+
+
+def _cumulant_plan(orders) -> list:
+    """The recursion of :func:`cumulants_from_moments` over ``orders`` (graded
+    lexicographic, order >= 1): per alpha, its terms ``(C(alpha', beta),
+    beta + e_i, alpha' - beta)`` in summation order."""
+    plan = []
     for alpha in orders:
         axis = next(i for i, k in enumerate(alpha) if k > 0)
         ap = tuple(k - 1 if i == axis else k for i, k in enumerate(alpha))
+        terms = [(prod(comb(k, b) for k, b in zip(ap, beta)),
+                  tuple(b + 1 if i == axis else b for i, b in enumerate(beta)),
+                  tuple(k - b for k, b in zip(ap, beta)))
+                 for beta in itertools.product(*(range(k + 1) for k in ap)) if beta != ap]
+        plan.append((alpha, terms))
+    return plan
+
+
+def _cumulants(moments: dict, plan: list) -> dict:
+    """Cumulants from raw moments by a :func:`_cumulant_plan`."""
+    cumulants: dict = {}
+    for alpha, terms in plan:
         acc = moments[alpha]
-        for beta in itertools.product(*(range(k + 1) for k in ap)):
-            if beta == ap:
-                continue
-            coeff = prod(comb(ap[k], beta[k]) for k in range(len(ap)))
-            kappa_idx = tuple(
-                b + 1 if i == axis else b for i, b in enumerate(beta)
-            )
-            rem = tuple(ap[i] - beta[i] for i in range(len(ap)))
+        for coeff, kappa_idx, rem in terms:
             acc = acc - coeff * cumulants[kappa_idx] * moments[rem]
         cumulants[alpha] = acc
     return cumulants
@@ -104,22 +122,40 @@ def _check_order(order: int, eps: float) -> None:
         raise ValueError("derivatives are implemented at eps = 1; rescale first")
 
 
-def _kernel_tables(points: np.ndarray, Y: np.ndarray, eps: float, max_order: int):
-    """``(K, M)``: the Gibbs kernel ``exp(-C/eps)`` between ``points`` and the
-    support ``Y``, and ``y^beta`` on ``Y``, one column per beta of order 1 to
-    ``max_order`` in :func:`multi_indices` order. Both are read-only, so one
-    pair can serve every extension over ``Y`` at the same points and eps.
+class _Tables(NamedTuple):
+    """What every extension over one support at the same points and eps
+    shares (:func:`_kernel_tables`); read-only, so one set serves them all."""
+
+    K: np.ndarray  # Gibbs kernel, points x support, column-major
+    M: np.ndarray  # y^beta on the support, one column per beta of order >= 1
+    pts: np.ndarray
+    Y: np.ndarray  # the support
+    log_w: np.ndarray  # its log weights
+    eps: float
+    betas: list  # multi_indices(d, max_order)
+    quad: dict  # beta -> D^beta of the half squared norm on pts, order >= 1
+    plan: list  # the cumulant recursion (_cumulant_plan)
+
+
+def _kernel_tables(points: np.ndarray, opposite: DiscreteMeasure, eps: float,
+                   max_order: int) -> _Tables:
+    """The :class:`_Tables` of extensions over ``opposite`` at ``points``,
+    up to derivative order ``max_order``.
 
     ``K`` is stored column-major (built as the transpose), so the products
     with it run along the points: on a 1681 x 10 grid kernel the moment
     product took 29 us against 121 us row-major (2-vCPU VM)."""
-    betas = multi_indices(Y.shape[1], max_order)[1:]
-    M = np.empty((Y.shape[0], len(betas)))
-    for k, beta in enumerate(betas):
+    Y = opposite.points
+    betas = multi_indices(Y.shape[1], max_order)
+    M = np.empty((Y.shape[0], len(betas) - 1))
+    for k, beta in enumerate(betas[1:]):
         M[:, k] = np.prod(Y ** np.array(beta), axis=1)
-    K_t = _gibbs_kernel(Y, points, eps)
-    K_t.flags.writeable = M.flags.writeable = False
-    return K_t.T, M
+    quad = {beta: _quadratic_term(points, beta) for beta in betas[1:]}
+    tables = _Tables(_gibbs_kernel(Y, points, eps).T, M, points, Y,
+                     _log_weights(opposite.weights), eps, betas, quad, _cumulant_plan(betas[1:]))
+    for table in (tables.K, M, tables.log_w, *quad.values()):
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,70 +197,61 @@ class ExtendedPotential:
         max_order = max(map(sum, alphas), default=0)
         if max_order >= 1:
             _check_order(max_order, self.pair.eps)
-        tables = _kernel_tables(pts, self.opposite.points, self.pair.eps, max_order)
-        return self._evaluate(pts, alphas, *tables)
+        return self._evaluate(_kernel_tables(pts, self.opposite, self.pair.eps, max_order),
+                              alphas)
 
-    def _evaluate(self, pts: np.ndarray, alphas, K: np.ndarray, M: np.ndarray) -> dict:
-        """:meth:`evaluate` on ``(K, M) = _kernel_tables(pts, ...)``, built at
-        the highest order in ``alphas``."""
-        stack = _extensions(self._values(), self.opposite, self.pair.eps, pts, alphas, K, M)
+    def _evaluate(self, tables: _Tables, alphas) -> dict:
+        """:meth:`evaluate` on the :func:`_kernel_tables` of its points,
+        built at the highest order in ``alphas``."""
+        stack = _extensions(self._values(), tables, alphas)
         return {alpha: table[0] for alpha, table in stack.items()}
 
 
-def _extension_tables(values: np.ndarray, opposite: DiscreteMeasure, eps: float,
-                      pts: np.ndarray, K: np.ndarray, M: np.ndarray, max_order: int):
-    """Extension values at each row of ``pts`` and the raw moments E[y^beta],
-    |beta| <= max_order, of each row's conditional law over ``opposite``,
-    for a stack of extensions over it: row r of ``values`` holds the r-th
-    one's potential on ``opposite``, and every table has one row per
-    extension. ``(K, M) = _kernel_tables(pts, opposite.points, ...)``.
+def _extension_tables(values: np.ndarray, t: _Tables):
+    """Extension values at each point of ``t`` and the raw moments E[y^beta]
+    of each point's conditional law over the support, for a stack of
+    extensions over it: row r of ``values`` holds the r-th one's potential on
+    the support, and every table has one row per extension.
 
     The values are one kernel half-step and the moments one product of ``K``
-    with the scaled monomials, divided by the row sums. A row sum below
-    ``_KERNEL_FLOOR`` follows :func:`_kernel_soft_min`'s rule: an extension
-    alone has both redone in the log domain, on a cost built here; ``K`` is
-    never written. Each extension's tables are those of its own stack of
-    one, bit for bit.
+    with every extension's scaled monomials, divided by the row sums; the
+    product's sums are those of one product per extension, bit for bit. A row
+    sum below ``_KERNEL_FLOOR`` follows :func:`_kernel_soft_min`'s rule: an
+    extension alone has both redone in the log domain, on a cost built here;
+    ``K`` is never written. Each extension's tables are those of its own
+    stack of one, bit for bit.
     """
-    log_w = _log_weights(opposite.weights)
-    step = _kernel_soft_min(K, values, log_w, eps)
+    step = _kernel_soft_min(t.K, values, t.log_w, t.eps)
     if step is not None:
         ext, u, s = step
-        raw = np.empty((M.shape[1],) + ext.shape)
-        for r, u_r in enumerate(u):  # a stacked einsum took 2.5x longer on 1681 x 10
-            raw[:, r] = np.einsum("ij,jb->bi", K, M * u_r[:, None])
+        scaled = t.M[:, :, None] * u.T[:, None, :]  # column (beta, r): y^beta u_r
+        raw = np.einsum("ij,jc->ci", t.K, scaled.reshape(len(scaled), -1)).reshape(-1, *ext.shape)
     elif len(values) > 1:  # each extension alone, so only those underflowing leave K
-        rows = [_extension_tables(v[None], opposite, eps, pts, K, M, max_order)
-                for v in values]
+        rows = [_extension_tables(v[None], t) for v in values]
         return (np.concatenate([ext for ext, _ in rows]),
                 {beta: np.concatenate([m[beta] for _, m in rows]) for beta in rows[0][1]})
     else:
-        E = half_sq_cost(pts, opposite.points)
-        ext = _soft_min(values[0], log_w, E, eps)[None]
+        E = half_sq_cost(t.pts, t.Y)
+        ext = _soft_min(values[0], t.log_w, E, t.eps)[None]
         s = np.sum(E, axis=1)[None]
-        raw = np.einsum("ij,jb->bi", E, M)[:, None]
+        raw = np.einsum("ij,jb->bi", E, t.M)[:, None]
     raw /= s
-    betas = multi_indices(pts.shape[1], max_order)
-    return ext, {betas[0]: np.ones(pts.shape[0]), **dict(zip(betas[1:], raw))}
+    return ext, {t.betas[0]: np.ones(t.pts.shape[0]), **dict(zip(t.betas[1:], raw))}
 
 
-def _extensions(values: np.ndarray, opposite: DiscreteMeasure, eps: float,
-                pts: np.ndarray, alphas, K: np.ndarray, M: np.ndarray) -> dict:
-    """:meth:`ExtendedPotential.evaluate` of a stack of extensions over
-    ``opposite`` (see :func:`_extension_tables`): each table has one row
-    per extension."""
-    ext, moments = _extension_tables(values, opposite, eps, pts, K, M,
-                                     max(map(sum, alphas), default=0))
-    zero = (0,) * pts.shape[1]
+def _extensions(values: np.ndarray, t: _Tables, alphas) -> dict:
+    """:meth:`ExtendedPotential.evaluate` of a stack of extensions on the
+    tables ``t`` (see :func:`_extension_tables`): each table has one row per
+    extension."""
+    ext, moments = _extension_tables(values, t)
     out: dict = {}
-    if zero in alphas:
-        out[zero] = ext
+    if t.betas[0] in alphas:
+        out[t.betas[0]] = ext
     deriv_alphas = [a for a in alphas if sum(a) >= 1]
     if deriv_alphas:
-        kappa = cumulants_from_moments(moments)
+        kappa = _cumulants(moments, t.plan)
         for alpha in dict.fromkeys(deriv_alphas):  # in place: each cumulant is its own
-            out[alpha] = np.subtract(_quadratic_term(pts, alpha), kappa[alpha],
-                                     out=kappa[alpha])
+            out[alpha] = np.subtract(t.quad[alpha], kappa[alpha], out=kappa[alpha])
     return out
 
 
@@ -246,9 +273,8 @@ def conditional_moments(pot: ExtendedPotential, x, max_order: int) -> dict:
         raise ValueError("max_order must be >= 1")
     _check_order(max_order, pot.pair.eps)
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    tables = _kernel_tables(pts, pot.opposite.points, pot.pair.eps, max_order)
-    moments = _extension_tables(pot._values(), pot.opposite, pot.pair.eps, pts, *tables,
-                                max_order)[1]
+    tables = _kernel_tables(pts, pot.opposite, pot.pair.eps, max_order)
+    moments = _extension_tables(pot._values(), tables)[1]
     return {beta: float(np.ravel(m)[0]) for beta, m in moments.items()}
 
 

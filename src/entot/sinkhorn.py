@@ -18,16 +18,19 @@ count; the only LAPACK call solves 5 x 5 systems, one at a time.
 :func:`solve` iterates the map ``f -> f_from(g_from(f))`` with safeguarded
 Anderson mixing and stops when the map moves f by at most ``tol * eps`` on
 the atoms that carry weight, which is exactly the two-sided residual of the
-pair it returns; see its docstring. :func:`_solve_stack` runs the maps of several problems of one
-size together: each kernel half-step is one ``einsum`` over the stacked
-kernels, or over the one kernel of a stack whose problems share both
-supports, which gives every problem the sums of its own call, while each
-problem keeps its own history, residual and map count. A problem's pair is
-copied out at the map where it meets tol; it keeps its row, and no longer
-moves, until the stack is done. So each result is that of a lone solve, bit
-for bit, and :func:`solve` is a stack of one. Only a lone problem leaves its
-kernel; a stack that would leave its kernels is solved again one problem at
-a time.
+pair it returns; see its docstring. :func:`_solve_stack` runs the maps of
+several problems of one size together, given as blocks: points ``(R, n, d)``,
+one row per problem, or one ``(n, d)`` support shared by all, and weights
+``(R, n)``, or one vector for all. Each kernel half-step is one ``einsum``
+over the stacked kernels, or over the one kernel of a stack whose two
+supports are shared (and of a stack of one), which gives every problem the
+sums of its own call, while each problem keeps its own history, residual and
+map count. A problem's pair is copied out at the map where it meets tol; it
+keeps its row, and no longer moves, until the stack is done. The stack
+returns one record of arrays (:class:`_Solved`), whose row r is what a lone
+solve of problem r returns, bit for bit, and :func:`solve` is a stack of one.
+Only a lone problem leaves its kernel; a stack that would leave its kernels
+is solved again one problem at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,6 +105,8 @@ class PotentialPair:
         f = np.array(self.f, dtype=np.float64).reshape(-1)
         g = np.array(self.g, dtype=np.float64).reshape(-1)
         _check_eps(self.eps)
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+            raise ValueError("potentials must be finite")
         f.flags.writeable = False
         g.flags.writeable = False
         object.__setattr__(self, "f", f)
@@ -127,7 +133,7 @@ class TransportPlan:
 class SolveReport:
     """What one :func:`solve` did.
 
-    Only :func:`_solve_stack` builds reports. ``optimality_residual`` is the
+    Only :func:`solve` builds reports. ``optimality_residual`` is the
     two-sided residual of the returned pair, as :func:`optimality_residual`
     defines it. ``path`` names the half-step arithmetic: ``"kernel"``,
     ``"kernel+log"`` (a kernel sum underflowed and the rest of the solve ran
@@ -253,41 +259,41 @@ class _Unstackable(Exception):
 class _Updates:
     """Half-step maps of the dual iteration, over a stack of problems.
 
-    The problems share their sizes (n x m) and eps; a lone problem may be
-    given as its two measures. A stack holds each problem's Gibbs kernel
-    ``exp(-C/eps)`` in one array, or one 2-d kernel when every problem has
-    the first one's two supports, and runs a half-step as one kernel product
-    over it; row r of a half-step's argument and result belongs to problem
-    r. Only a lone problem leaves its kernel (:func:`_kernel_soft_min`):
-    above ``dense_entry_limit`` entries, or from its first kernel sum below
-    ``_KERNEL_FLOOR`` on, it rebuilds cost slabs of at most that many entries
-    on every half-step.
+    The problems share their sizes (n x m) and eps. Problem r's supports are
+    row r of ``X`` and ``Y``, ``(R, n, d)`` and ``(R, m, d)``, or the one
+    ``(n, d)`` or ``(m, d)`` support of every problem; its weights are row r
+    of ``a``, ``(R, n)``, and of ``b``, ``(R, m)`` or one vector for all. A
+    stack holds each problem's Gibbs kernel ``exp(-C/eps)`` in one array, or
+    one 2-d kernel when both supports are shared or the stack holds one
+    problem, and runs a half-step as one kernel product over it; row r of a
+    half-step's argument and result belongs to problem r. Only a lone problem
+    leaves its kernel (:func:`_kernel_soft_min`): above ``dense_entry_limit``
+    entries, or from its first kernel sum below ``_KERNEL_FLOOR`` on, it
+    rebuilds cost slabs of at most that many entries on every half-step.
     ``path`` is its :class:`SolveReport` path so far.
     """
 
-    def __init__(self, Ps, Qs, eps: float, dense_entry_limit: int = DENSE_ENTRY_LIMIT):
-        if isinstance(Ps, DiscreteMeasure):
-            Ps, Qs = (Ps,), (Qs,)
-        for P, Q in zip(Ps, Qs):
-            if P.dim != Q.dim:
-                raise DimensionMismatch(f"ambient dimensions differ: {P.dim} vs {Q.dim}")
-        self.a = np.array([P.weights for P in Ps])
-        self.b = np.array([Q.weights for Q in Qs])
+    def __init__(self, X, a, Y, b, eps: float, dense_entry_limit: int = DENSE_ENTRY_LIMIT):
+        if X.shape[-1] != Y.shape[-1]:
+            raise DimensionMismatch(f"ambient dimensions differ: {X.shape[-1]} vs {Y.shape[-1]}")
+        self.a, self.b = _rows(a, len(a)), _rows(b, len(a))
         self.log_a, self.log_b = _log_weights(self.a), _log_weights(self.b)
         self.eps = eps
         self._limit = dense_entry_limit
         dense = self.a.shape[1] * self.b.shape[1] <= dense_entry_limit
-        if not dense and len(Ps) > 1:
+        if not dense and len(a) > 1:
             raise _Unstackable
         self.path = "kernel" if dense else "blocked"
         self._log_w = (self.log_b, self.log_a)
-        self._points = ((Ps[0].points, Qs[0].points), (Qs[0].points, Ps[0].points))  # lone only
-        if dense and _shared_supports(Ps, Qs):
-            K = _gibbs_kernel(Ps[0].points, Qs[0].points, eps)
+        if len(a) == 1:  # a lone problem runs on its 2-d supports
+            X, Y = _support(X, 0), _support(Y, 0)
+            self._points = ((X, Y), (Y, X))
+        if dense and X.ndim == Y.ndim == 2:
+            K = _gibbs_kernel(X, Y, eps)
         elif dense:
-            K = np.empty((len(Ps), self.a.shape[1], self.b.shape[1]))
-            for k, P, Q in zip(K, Ps, Qs):
-                k[...] = _gibbs_kernel(P.points, Q.points, eps)
+            K = np.empty((len(a), self.a.shape[1], self.b.shape[1]))
+            for r, k in enumerate(K):
+                k[...] = _gibbs_kernel(_support(X, r), _support(Y, r), eps)
         self._ops = (K, K.swapaxes(-1, -2)) if dense else None
 
     def _half_step(self, pot: np.ndarray, side: int) -> np.ndarray:
@@ -315,12 +321,23 @@ class _Updates:
         return self._half_step(f, 1)
 
 
-def _shared_supports(Ps, Qs) -> bool:
-    """Whether every problem has the first one's two supports, bit for bit;
-    the check stops at the first problem that differs."""
-    X, Y = Ps[0].points.tobytes(), Qs[0].points.tobytes()
-    return all(P.points.tobytes() == X and Q.points.tobytes() == Y
-               for P, Q in zip(Ps[1:], Qs[1:]))
+def _support(points: np.ndarray, r: int) -> np.ndarray:
+    """Problem r's support: the one ``(n, d)`` support of every problem, or
+    row r of a ``(R, n, d)`` block."""
+    return points if points.ndim == 2 else points[r]
+
+
+def _rows(w: np.ndarray, count: int) -> np.ndarray:
+    """Weights as ``count`` C-contiguous rows: a C-contiguous block of rows as
+    it is, any other block copied, one vector copied to each row (never left
+    a stride-0 broadcast), as :func:`_dot`'s sums are bit for bit only on
+    C-contiguous rows."""
+    return np.ascontiguousarray(np.broadcast_to(w, (count, w.shape[-1])))
+
+
+def _problem(P: DiscreteMeasure, Q: DiscreteMeasure) -> tuple:
+    """``(X, a, Y, b)`` of one problem, a stack of one."""
+    return P.points, P.weights[None], Q.points, Q.weights[None]
 
 
 def _check_pair_dims(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair):
@@ -348,6 +365,7 @@ def _shift(f: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray,
     """``(f + c, g - c)`` for a stack of pairs (one per row) on weights ``a``
     and ``b`` (one row per pair, or one for all), with the shift ``c`` of
     each row that makes ``convention`` hold."""
+    a, b = _rows(a, len(f)), _rows(b, len(g))
     if convention is Normalization.EQUAL_MEANS:
         c = 0.5 * (_dot(g, b) - _dot(f, a))
     elif convention is Normalization.ZERO_G_MEAN:
@@ -389,35 +407,58 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
     attached) if the map budget runs out first. This is :func:`_solve_stack`
     on a stack of one.
     """
-    return _lone(_solve_stack((P,), (Q,), cfg, dense_entry_limit))
+    return _row_result(_solve_stack(*_problem(P, Q), cfg, dense_entry_limit), 0, cfg)
 
 
-def _lone(results: list):
-    """The one result of a stack of one; an error result is raised."""
-    (result,) = results
-    if isinstance(result, Exception):
-        raise result
-    return result
+class _Solved(NamedTuple):
+    """:func:`_solve_stack`'s results, one entry or row per problem: what
+    :func:`solve` returns or raises for it, as arrays (:func:`_row_result`)."""
+
+    f: np.ndarray  # (R, n): the pairs, normalized to equal means
+    g: np.ndarray  # (R, m)
+    cost: np.ndarray  # <f, a> + <g, b>, the cost() of each pair
+    iterations: np.ndarray
+    residual: np.ndarray  # the final and the two-sided optimality residual
+    dual: np.ndarray
+    path: np.ndarray
+    converged: np.ndarray
 
 
-def _solve_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> list:
-    """:func:`solve` of each problem ``(Ps[r], Qs[r])`` of a stack, in one map loop.
+def _row_result(solved: _Solved, r: int, cfg: SolverConfig):
+    """``(pair, report)`` of problem r of a stack, as :func:`solve` returns
+    it; raises its :class:`NotConverged`."""
+    pair = PotentialPair(solved.f[r], solved.g[r], cfg.eps, Normalization.EQUAL_MEANS)
+    residual = float(solved.residual[r])
+    report = SolveReport(int(solved.iterations[r]), residual, float(solved.dual[r]),
+                         bool(solved.converged[r]), residual, str(solved.path[r]))
+    if not report.converged:
+        raise NotConverged(f"residual {residual:.3e} above tol {cfg.tol:.3e} "
+                           f"after {report.iterations} iterations", report=report, pair=pair)
+    return pair, report
+
+
+def _solve_stack(X, a, Y, b, cfg: SolverConfig,
+                 dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> _Solved:
+    """:func:`solve` of each problem of a stack (:class:`_Updates` gives the
+    block layout), in one map loop.
 
     The problems share their sizes. Each keeps its own history, residual and
     map count, and row r of every array is problem r's alone: the Grams of
     all mixing problems are solved as one batch, each its own system. At the
     map where a problem meets tol its pair is copied out; from then on its
     point no longer moves, so its later maps repeat its last one bit for bit
-    and its result is that of a lone :func:`solve`, path included:
-    ``(pair, report)``, or the :class:`NotConverged` a lone solve raises
-    (returned, not raised). A stack of more than one that would leave its
-    kernels (:class:`_Updates`) is solved again one problem at a time.
+    and its row of the record is that of a lone :func:`solve`, path and
+    :class:`NotConverged` included. A stack of more than one that would leave
+    its kernels is solved again one problem at a time.
     """
     try:
-        return _sweep_stack(Ps, Qs, cfg, dense_entry_limit)
+        return _sweep_stack(X, a, Y, b, cfg, dense_entry_limit)
     except _Unstackable:
         pass  # leaving the handler drops the traceback, and the stack's kernels with it
-    return [_sweep_stack((P,), (Q,), cfg, dense_entry_limit)[0] for P, Q in zip(Ps, Qs)]
+    b = _rows(b, len(a))
+    lone = [_sweep_stack(_support(X, r), a[r:r + 1], _support(Y, r), b[r:r + 1], cfg,
+                         dense_entry_limit) for r in range(len(a))]
+    return _Solved(*(np.concatenate(rows) for rows in zip(*lone)))
 
 
 # Anderson mixing depth: the differences between the last this many + 1
@@ -437,11 +478,11 @@ _RIDGE = 1e-12
 _KEEP = 1 - 1e-9
 
 
-def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
+def _sweep_stack(X, a, Y, b, cfg: SolverConfig, dense_entry_limit: int) -> _Solved:
     """The map loop of :func:`_solve_stack`; raises :class:`_Unstackable`."""
-    upd = _Updates(Ps, Qs, cfg.eps, dense_entry_limit)
-    eps, count = cfg.eps, len(Ps)
-    x = np.zeros((count, Ps[0].n))  # the points mapped next
+    upd = _Updates(X, a, Y, b, cfg.eps, dense_entry_limit)
+    eps, count = cfg.eps, len(upd.a)
+    x = np.zeros(upd.a.shape)  # the points mapped next
     t = r = x  # T and the residual T - id at each problem's last kept point
     # their differences between consecutive kept points, map k's in slot
     # k % _DEPTH; the last slot of dR holds r when the points are mixed
@@ -451,7 +492,7 @@ def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
     mixed = [False] * count  # whether x is a mixed point
     best = [math.inf] * count  # smallest residual so far
     maps, residuals = [None] * count, [None] * count
-    F, G, F_hat = np.empty_like(x), np.empty((count, Qs[0].n)), np.empty_like(x)
+    F, G, F_hat = np.empty_like(x), np.empty(upd.b.shape), np.empty_like(x)
     unweighted = upd.a == 0  # the atoms of P that do not enter g_from
     for iterations in range(1, cfg.max_iter + 1):
         g = upd.g_from(x)
@@ -497,20 +538,11 @@ def _sweep_stack(Ps, Qs, cfg: SolverConfig, dense_entry_limit: int) -> list:
             dR[:, _DEPTH] = r
             x = t.copy()
             x[rows] = _mixed(t[rows], dT[rows], dR[rows])
-    dual = _dual_values(upd, F, G, F_hat).tolist()
+    dual = _dual_values(upd, F, G, F_hat)
     F, G = _shift(F, G, upd.a, upd.b, Normalization.EQUAL_MEANS)
-    out = []
-    for i in range(count):
-        pair = PotentialPair(F[i], G[i], eps, Normalization.EQUAL_MEANS)
-        report = SolveReport(maps[i], residuals[i], dual[i], residuals[i] <= cfg.tol,
-                             residuals[i], upd.path)
-        out.append((pair, report) if report.converged else NotConverged(
-            f"residual {report.final_residual:.3e} above tol {cfg.tol:.3e} "
-            f"after {report.iterations} iterations",
-            report=report,
-            pair=pair,
-        ))
-    return out
+    residuals = np.array(residuals)
+    return _Solved(F, G, _dot(F, upd.a) + _dot(G, upd.b), np.array(maps), residuals, dual,
+                   np.full(count, upd.path), residuals <= cfg.tol)
 
 
 def _mixed(t: np.ndarray, dT: np.ndarray, dR: np.ndarray) -> np.ndarray:
@@ -537,7 +569,7 @@ def _row_max(x: np.ndarray) -> list:
 def optimality_residual(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> float:
     """Sup norm of both sides' log marginal ratios for the implied plan."""
     _check_pair_dims(P, Q, pair)
-    upd = _Updates(P, Q, pair.eps)
+    upd = _Updates(*_problem(P, Q), pair.eps)
     f, g = pair.f[None], pair.g[None]
     return max(*_row_max(f - upd.f_from(g)), *_row_max(g - upd.g_from(f))) / pair.eps
 
@@ -548,7 +580,7 @@ def dual_objective(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) 
     ``<f, a> + <g, b> - eps * sum_ij a_i b_j exp((f_i + g_j - C_ij)/eps) + eps``
     """
     _check_pair_dims(P, Q, pair)
-    upd = _Updates(P, Q, pair.eps)
+    upd = _Updates(*_problem(P, Q), pair.eps)
     f, g = pair.f[None], pair.g[None]
     return float(_dual_values(upd, f, g, upd.f_from(g))[0])
 
@@ -582,31 +614,14 @@ def cost(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair,
     return _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
 
 
-def _priced(P: DiscreteMeasure, Q: DiscreteMeasure, result, tol: float):
-    """``(pair, report, cost)`` from a solve's ``(pair, report)``, without
-    rebuilding the operator: the ``10 * tol`` gate of :func:`cost` is applied
-    to the residual the solve measured. An error result, or the
-    :class:`NotOptimal` of the gate, is returned, not raised."""
-    if isinstance(result, Exception):
-        return result
-    pair, report = result
-    try:
-        _require_optimal(report.optimality_residual, tol)
-    except NotOptimal as exc:
-        return exc
-    return pair, report, _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
-
-
 def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
-    """:func:`solve`, then :func:`cost` without rebuilding the operator
-    (:func:`_priced`). Returns ``(pair, report, cost)``."""
-    return _lone([_priced(P, Q, solve(P, Q, cfg), cfg.tol)])
-
-
-def _solved_costs(Ps, Qs, cfg: SolverConfig) -> list:
-    """:func:`_solved_cost` of each problem of a stack, its error returned, not raised."""
-    return [_priced(P, Q, result, cfg.tol)
-            for P, Q, result in zip(Ps, Qs, _solve_stack(Ps, Qs, cfg))]
+    """:func:`solve`, then :func:`cost` without rebuilding the operator: the
+    ``10 * tol`` gate is applied to the residual the solve measured. Returns
+    ``(pair, report, cost)``. A stack's costs are its record's (a converged
+    row meets tol, so it passes the gate)."""
+    pair, report = solve(P, Q, cfg)
+    _require_optimal(report.optimality_residual, cfg.tol)
+    return pair, report, _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
 
 
 def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> TransportPlan:

@@ -1,6 +1,7 @@
 """Test-suite helpers: seeded instances, oracle closures and a forced harness pool."""
 
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,3 +79,24 @@ def force_pool(monkeypatch, workers=3):
     monkeypatch.setattr(hz, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(hz, "ThreadPoolExecutor", CountingPool)
     return calls
+
+
+def block_rows(block):
+    """The measures of a ``(points, weights)`` block, one per weights row, as
+    row views with ``points`` and ``weights`` (not copies)."""
+    points, weights = block
+    return [SimpleNamespace(points=points if points.ndim == 2 else points[r], weights=w)
+            for r, w in enumerate(weights)]
+
+
+def block_measures(block):
+    """The measures of a ``(points, weights)`` block, one per weights row."""
+    return [ms.DiscreteMeasure(m.points, m.weights) for m in block_rows(block)]
+
+
+def as_block(measures):
+    """Measures of one size as a ``(points, weights)`` block: their support
+    when they all hold the same points array, else one row of points each."""
+    points = [m.points for m in measures]
+    shared = all(p is points[0] for p in points)
+    return (points[0] if shared else np.stack(points)), np.stack([m.weights for m in measures])

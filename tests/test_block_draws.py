@@ -9,6 +9,8 @@ solver's row sums, which depend on operand strides, give each of them the
 values of a lone measure.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from entot import measures as ms
 from entot import sinkhorn as sk
 from entot.inference import _ci_two_sample_stack, ci_two_sample
 from entot.sinkhorn import SolverConfig
+
+from _util import block_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -84,7 +88,7 @@ def test_gaussian_rows_are_each_streams_lone_sample(streams, n, d, scale):
     # n * d odd leaves the second output of the last Box-Muller pair unused
     block, alone = streams
     mean = np.linspace(-1.0, 2.0, d)
-    _same_measures(ms._gaussian_rows(mean, scale, n, block),
+    _same_measures(block_rows(ms._gaussian_rows(mean, scale, n, block)),
                    [ms.sample_gaussian(mean, scale, n, s) for s in alone])
     _same_counters(block, alone)
 
@@ -95,12 +99,12 @@ def test_count_weights_and_drawn_atoms_are_each_streams_lone_draws(streams, P, n
     # P with more atoms than draws keeps the drawn atoms; otherwise count
     # weights on P's atoms. Each stream draws twice, as the divergence does.
     block, alone = streams
-    first, second = hz._empirical(P, n, block), hz._empirical(P, n, block)
-    lone = [(hz._empirical(P, n, [s])[0], hz._empirical(P, n, [s])[0]) for s in alone]
+    first, second = (block_rows(hz._empirical(P, n, block)) for _ in range(2))
+    lone = [[block_rows(hz._empirical(P, n, [s]))[0] for _ in range(2)] for s in alone]
     _same_measures(first, [a for a, _ in lone])
     _same_measures(second, [b for _, b in lone])
     _same_counters(block, alone)
-    _same_measures(ms._empirical_rows(P, n, block),
+    _same_measures(block_rows(ms._empirical_rows(P, n, block)),
                    [ms.sample_empirical(P, n, s) for s in alone])
     _same_counters(block, alone)
 
@@ -110,13 +114,19 @@ def test_count_weights_and_drawn_atoms_are_each_streams_lone_draws(streams, P, n
                                                      max_size=13), st.integers(0, 40))
 def test_drawn_chunks_cut_into_blocks_are_each_streams_lone_draws(streams, P, ns, budget):
     # a chunk of several sample sizes draws one block per run of one n, cut to
-    # at most _CHUNK_ENTRIES // n streams
+    # at most _CHUNK_ENTRIES // n streams; as _run does, a chunk holds the
+    # replicates of one operator shape: drawn atoms of one n, or count
+    # weights on P's atoms, which span every n >= |P|
     block, alone = streams
     ns = sorted(ns)[:len(block)]
+    drawn = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hz, "_CHUNK_ENTRIES", budget)
-        drawn = hz._drawn(lambda n, streams: hz._empirical(P, n, streams), block, ns)
-    _same_measures(drawn, [hz._empirical(P, n, [s])[0] for s, n in zip(alone, ns)])
+        for _, run in itertools.groupby(zip(block, ns), key=lambda job: min(job[1], P.n)):
+            chunk, chunk_ns = zip(*run)
+            drawn += block_rows(hz._drawn(lambda n, streams: hz._empirical(P, n, streams),
+                                          chunk, chunk_ns))
+    _same_measures(drawn, [block_rows(hz._empirical(P, n, [s]))[0] for s, n in zip(alone, ns)])
     _same_counters(block, alone)
 
 
@@ -149,7 +159,7 @@ def test_largest_uniform_never_draws_a_weightless_last_atom():
     assert np.cumsum(P.weights)[-1] == top
     assert ms._draw_rows(P, 1, [_stream_drawing(top)]).tolist() == [[9]]
     assert ms.sample_empirical(P, 1, _stream_drawing(top)).points.tolist() == [[9.0]]
-    [counted] = hz._empirical(P, 11, [_stream_drawing(top)])
+    [counted] = block_rows(hz._empirical(P, 11, [_stream_drawing(top)]))
     assert counted.weights[10] == 0.0 and counted.weights[9] > 0.0
 
 
@@ -163,19 +173,24 @@ def test_block_rows_are_c_contiguous_and_solve_as_lone_measures():
     # Block rows are C-contiguous, and a stack of them gives each problem the
     # values of a lone solve on freshly built measures.
     streams = [ms.SplitMix64(ms.derived_seed(5, r)) for r in range(7)]
-    Ps = ms._gaussian_rows(np.zeros(2), 1.0, 100, streams)
-    Qs = ms._gaussian_rows(np.full(2, np.sqrt(2.0)), 1.0, 100, streams)
+    P_block = ms._gaussian_rows(np.zeros(2), 1.0, 100, streams)
+    Q_block = ms._gaussian_rows(np.full(2, np.sqrt(2.0)), 1.0, 100, streams)
+    Ps, Qs = block_rows(P_block), block_rows(Q_block)
     pop = ms.DiscreteMeasure(np.linspace(0.0, 1.0, 20).reshape(10, 2), np.full(10, 0.1))
-    counted, drawn = hz._empirical(pop, 50, streams), hz._empirical(pop, 6, streams)
+    blocks = hz._empirical(pop, 50, streams), hz._empirical(pop, 6, streams)
+    counted, drawn = (block_rows(b) for b in blocks)
     for m in Ps + Qs + counted + drawn:
         assert m.points.flags.c_contiguous and m.weights.flags.c_contiguous
         assert not m.points.flags.writeable and not m.weights.flags.writeable
     cfg = SolverConfig(eps=2.0)
-    for stacked, P, Q in zip(_ci_two_sample_stack(Ps, Qs, cfg, 0.05), Ps, Qs):
+    for center, half_width, P, Q in zip(*_ci_two_sample_stack(*P_block, *Q_block, cfg, 0.05)[:2],
+                                        Ps, Qs):
         lone = ci_two_sample(_fresh(P), _fresh(Q), cfg, 0.05)
-        assert (stacked.center, stacked.half_width) == (lone.center, lone.half_width)
-    for Xs in (counted, drawn):
-        for (pair, report, cost), X in zip(sk._solved_costs(Xs, [pop] * len(Xs), cfg), Xs):
+        assert (center, half_width) == (lone.center, lone.half_width)
+    for block, Xs in zip(blocks, (counted, drawn)):
+        solved = sk._solve_stack(*block, pop.points, pop.weights, cfg)
+        for r, X in enumerate(Xs):
+            (pair, report), cost = sk._row_result(solved, r, cfg), solved.cost[r]
             lone_pair, lone_report, lone_cost = sk._solved_cost(_fresh(X), pop, cfg)
             assert cost == lone_cost and report == lone_report
             assert pair.f.tobytes() == lone_pair.f.tobytes()

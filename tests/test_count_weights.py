@@ -19,6 +19,8 @@ from entot import measures as ms
 from entot import sinkhorn as sk
 from entot.sinkhorn import SolverConfig
 
+from _util import block_measures
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -62,7 +64,7 @@ def _close(value, reference, scale, eps):
 def test_count_weights_are_the_histogram_of_the_drawn_atoms(P, n, seed):
     hypothesis.assume(len(np.unique(P.points, axis=0)) == P.n)
     s1, s2 = ms.SplitMix64(seed), ms.SplitMix64(seed)
-    [counted], drawn = hz._empirical(P, n, [s1]), ms.sample_empirical(P, n, s2)
+    [counted], drawn = block_measures(hz._empirical(P, n, [s1])), ms.sample_empirical(P, n, s2)
     assert s1.next_u64() == s2.next_u64()  # the stream ends at the same count
     if P.n > n:  # more atoms than draws: the drawn atoms themselves
         assert counted.points.tobytes() == drawn.points.tobytes()
@@ -83,7 +85,7 @@ def _cost(P, Q, cfg):
 def test_rate_values_on_count_weights_are_those_of_the_drawn_atoms(PQ, n, seed, eps):
     P, Q = PQ
     cfg = SolverConfig(eps=eps, tol=_TIGHT)
-    [counted] = hz._empirical(P, n, [ms.SplitMix64(seed)])
+    [counted] = block_measures(hz._empirical(P, n, [ms.SplitMix64(seed)]))
     drawn = ms.sample_empirical(P, n, ms.SplitMix64(seed))
     (pair_c, _, cost_c), (pair_d, _, cost_d) = (sk._solved_cost(X, Q, cfg)
                                                 for X in (counted, drawn))

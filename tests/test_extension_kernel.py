@@ -75,7 +75,7 @@ def test_underflowing_rows_give_the_log_domain_tables(far_rows):
     points[:6 if far_rows == "all" else 1] += 31.0
     alphas = pot.multi_indices(2, 2)
     fe = pot.f_extension(pair, Q)
-    step = sk._kernel_soft_min(pot._kernel_tables(points, Q.points, 1.0, 2)[0], pair.g,
+    step = sk._kernel_soft_min(pot._kernel_tables(points, Q, 1.0, 2).K, pair.g,
                                sk._log_weights(Q.weights), 1.0)
     assert step is None  # the kernel path gives way
     kernel = fe.evaluate(points, alphas)

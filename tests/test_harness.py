@@ -14,7 +14,7 @@ from entot.errors import ConfigError
 from entot.harness import EmitFormat, ExperimentConfig, ExperimentKind, ScenarioKind
 from entot.sinkhorn import Normalization, SolverConfig
 
-from _util import SUITE_SEED, force_pool
+from _util import SUITE_SEED, block_measures, force_pool
 
 CONFIG_TEXT = """
 # smoke sweep
@@ -336,7 +336,8 @@ def test_rate_chunks_span_only_cells_of_one_operator_shape(monkeypatch, tmp_path
 
     _spy_statistic(monkeypatch, kind, record)
     texts, chunkings = set(), set()
-    for budget in (0, 500, 1 << 62):
+    # 2000 entries hold the solver state of 4 replicates on P's 15 atoms
+    for budget in (0, 2_000, 1 << 62):
         monkeypatch.setattr(hz, "_CHUNK_ENTRIES", budget)
         chunks.clear()
         result = hz.run_experiment(cfg, threads=1)
@@ -570,7 +571,8 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
     for n in (50, 800):
         seeds = [ms.derived_seed(cfg.seed, n, r) for r in range(3)]
         for seed in seeds:
-            [P_n] = hz._empirical(P, n, [ms.SplitMix64(seed)])  # the replicate's own measure
+            # the replicate's own measure
+            [P_n] = block_measures(hz._empirical(P, n, [ms.SplitMix64(seed)]))
             pair, _ = sk.solve(P_n, Q, cfg.solver)
             pair = sk.normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
             delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
@@ -599,7 +601,7 @@ def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
     monkeypatch.setattr(hz, "_kernel_tables", kernel_tables)
     stat = hz._potential_statistic(hz._scenario_for(cfg), 2, cfg.solver)
     assert len(built) == 1
-    K, M = built[0]
+    K, M = built[0].K, built[0].M
     assert K.shape == (41 * 41, 10) and M.shape == (10, 5)
     assert not K.flags.writeable and not M.flags.writeable
     before = K.copy(), M.copy()
@@ -611,22 +613,18 @@ def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
     assert np.array_equal(K, before[0]) and np.array_equal(M, before[1])
 
 
-def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
-    # _run sizes a chunk so that its replicates' operators (10 x 10, on the
-    # population's atoms) fit _CHUNK_ENTRIES entries, and the statistic
-    # evaluates their extensions in groups whose twelve 41 x 41 grid tables
-    # each fit it too; the traced peak of the chunk's statistic, samples and
-    # solves included, stays below that budget in float64 bytes, plus a
-    # quarter (0.83 of it measured at n = 50 and 800, in one chunk of 24
-    # across both cells and groups of 6). The shared grid kernel and
-    # monomials stay read-only and unwritten.
+def _check_potential_rate_chunks(monkeypatch, **cells):
+    """Run the potential-rate desk config with ``cells`` replaced; check that
+    every chunk's traced peak, samples and solves included, stays below the
+    chunk budget in float64 bytes plus a quarter, and that the shared grid
+    kernel and monomials stay read-only and unwritten."""
     cfg = replace(hz.load_config(Path(__file__).parents[1] / "configs" / "potential_rate_desk.txt"),
-                  n_list=(50, 800), replicates=12)
+                  **cells)
     built = []
 
     def kernel_tables(*args):
         built.append(pot._kernel_tables(*args))
-        built.append(tuple(table.copy() for table in built[-1]))
+        built.append(tuple(table.copy() for table in built[-1][:2]))
         return built[0]
 
     monkeypatch.setattr(hz, "_kernel_tables", kernel_tables)
@@ -644,11 +642,30 @@ def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
 
     _spy_statistic(monkeypatch, ExperimentKind.POTENTIAL_RATE, traced)
     hz.run_potential_rate(cfg, threads=1)
-    assert min(sizes) > 1 and sum(sizes) == 2 * cfg.replicates
+    assert min(sizes) > 1 and sum(sizes) == len(cfg.n_list) * cfg.replicates
     assert max(peaks) < 1.25 * hz._CHUNK_ENTRIES * 8
-    (K, M), (K0, M0) = built
+    (K, M), (K0, M0) = built[0][:2], built[1]
     assert not K.flags.writeable and not M.flags.writeable
     assert np.array_equal(K, K0) and np.array_equal(M, M0)
+
+
+def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
+    # _run sizes a chunk so that its replicates' operators (10 x 10, on the
+    # population's atoms) fit _CHUNK_ENTRIES entries, and the statistic
+    # evaluates their extensions in groups whose twelve 41 x 41 grid tables
+    # each fit it too; the traced peak stays below that budget plus a
+    # quarter (0.80 of it measured at n = 50 and 800, in one chunk of 24
+    # across both cells and groups of 6)
+    _check_potential_rate_chunks(monkeypatch, n_list=(50, 800), replicates=12)
+
+
+def test_potential_rate_desk_row_chunks_stay_within_the_entry_budget(monkeypatch):
+    # the desk row, five cells of 200 count-weighted replicates on one 10 x 10
+    # kernel: each problem's solver state outweighs its share of the kernel,
+    # and the chunk budget counts it (_STATE_ROWS), so the row runs as chunks
+    # of 451, 451 and 98 that peak at 1.04 of the budget (one chunk of 1000,
+    # without that term, peaked at 2.3)
+    _check_potential_rate_chunks(monkeypatch)
 
 
 def test_divergence_rate_smoke():

@@ -24,6 +24,14 @@ def test_variance_constant_potential_is_zero():
     assert est.kind is VarianceKind.ONE_SAMPLE and est.n == 2 and est.m == 0
 
 
+def test_row_variance_propagates_nan_instead_of_clamping_it():
+    # a NaN potential gives a NaN variance, not 0 and so a zero-width
+    # interval; the other rows keep their own values
+    f = np.array([[np.nan, 1.0], [0.0, 1.0], [3.0, 3.0]])
+    var = inf._weighted_variance(f, np.full((3, 2), 0.5))
+    assert np.isnan(var[0]) and var[1:].tolist() == [0.25, 0.0]
+
+
 def test_variance_bernoulli_quarter():
     P = ms.uniform_on(np.array([[0.0], [1.0]]))
     est = inf.variance_one_sample(P, _pair([0.0, 1.0], [0.0, 0.0]))

@@ -68,6 +68,13 @@ def test_dual_objective_zero_potentials_on_diracs():
     assert sk.dual_objective(P, P, pair) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("f, g", [([np.nan, 1.0], [0.0, 0.0]), ([0.0, 1.0], [0.0, np.inf]),
+                                  ([-np.inf], [0.0])])
+def test_potential_pair_rejects_non_finite_potentials(f, g):
+    with pytest.raises(ValueError, match="finite"):
+        PotentialPair(f, g, 1.0)
+
+
 def test_cost_rejects_non_optimal_pair():
     P, Q = ms.dirac([0.0]), ms.dirac([3.0])
     junk = PotentialPair(np.zeros(1), np.zeros(1), 1.0)
@@ -122,7 +129,7 @@ def test_plan_matches_the_log_plan_formula():
         P, Q = ms.DiscreteMeasure(X, a / a.sum()), ms.DiscreteMeasure(Y, b / b.sum())
         eps = 0.05 * 40.0 ** stream.next_float()
         f = 2.0 * stream.uniforms(n) - 1.0
-        g = sk._Updates(P, Q, eps).g_from(f[None])[0]  # one row: a stack of one
+        g = sk._Updates(*sk._problem(P, Q), eps).g_from(f[None])[0]  # one row: a stack of one
         C = 0.5 * np.sum((X[:, None, :] - Y[None, :, :]) ** 2, axis=2)
         with np.errstate(divide="ignore"):
             want = np.exp(np.log(P.weights)[:, None] + np.log(Q.weights)[None, :]
@@ -355,7 +362,7 @@ def _stalling_problem(index):
 
 def _plain_maps(P, Q, eps, tol=1e-9):
     """Maps ``f <- f_from(g_from(f))`` from f = 0 until the solve's stop rule holds."""
-    upd = sk._Updates(P, Q, eps)
+    upd = sk._Updates(*sk._problem(P, Q), eps)
     f = np.zeros((1, P.n))
     for maps in itertools.count(1):
         f_next = upd.f_from(upd.g_from(f))

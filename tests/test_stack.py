@@ -2,9 +2,10 @@
 
 ``sinkhorn._solve_stack`` runs the maps of several same-sized problems
 together; a problem's pair is taken at the map where it meets tol, and
-the problem keeps its place until the stack is done. Its pair and report,
-or its ``NotConverged``, must be those of a lone ``solve``, bit for bit, on
-every half-step path.
+the problem keeps its place until the stack is done. Its row of the stack's
+record, read as ``solve`` returns it (``sinkhorn._row_result``), must be the
+pair and report, or the ``NotConverged``, of a lone ``solve``, bit for bit,
+on every half-step path.
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ from entot import sinkhorn as sk
 from entot.errors import NotConverged
 from entot.sinkhorn import SolverConfig
 
-from _util import SUITE_SEED
+from _util import SUITE_SEED, as_block, block_measures
 
 
 def _problems(count, n=40, m=30, seed=71):
@@ -33,6 +34,25 @@ def _lone(P, Q, cfg, **kw):
         return sk.solve(P, Q, cfg, **kw)
     except NotConverged as exc:
         return exc
+
+
+def _row(solved, r, cfg):
+    """Row r of a stack's record, as ``solve`` returns or raises it."""
+    try:
+        return sk._row_result(solved, r, cfg)
+    except NotConverged as exc:
+        return exc
+
+
+def _solved(Ps, Qs, cfg, **kw):
+    """The record of one stacked solve of the problems (Ps[r], Qs[r])."""
+    return sk._solve_stack(*as_block(Ps), *as_block(Qs), cfg, **kw)
+
+
+def _stack(Ps, Qs, cfg, **kw):
+    """Each problem's row of one stacked solve, as ``solve`` returns or raises it."""
+    solved = _solved(Ps, Qs, cfg, **kw)
+    return [_row(solved, r, cfg) for r in range(len(Ps))]
 
 
 def _parts(result):
@@ -55,7 +75,7 @@ def _assert_same(stacked, lone):
 
 
 def _check_stack(Ps, Qs, cfg, **kw):
-    stacked = sk._solve_stack(Ps, Qs, cfg, **kw)
+    stacked = _stack(Ps, Qs, cfg, **kw)
     lone = [_lone(P, Q, cfg, **kw) for P, Q in zip(Ps, Qs)]
     assert len(stacked) == len(Ps)
     for s, lo in zip(stacked, lone):
@@ -119,7 +139,7 @@ def test_stack_with_one_underflowing_problem_matches_lone_solves(spread, first, 
     builds = []
     build = sk.half_sq_cost
     monkeypatch.setattr(sk, "half_sq_cost", lambda X, Y: builds.append(1) or build(X, Y))
-    sk._solve_stack(Ps, Qs, cfg)
+    _solved(Ps, Qs, cfg)
     stacked = len(builds)
     for P, Q in zip(Ps, Qs):
         _lone(P, Q, cfg)
@@ -137,7 +157,7 @@ def test_budget_run_out_inside_a_stack_matches_lone_solves():
     maps = [r.iterations for r in _check_stack(Ps, Qs, SolverConfig(eps=0.5))]
     # a budget some problems meet and some do not: the fastest problem's maps
     cfg = SolverConfig(eps=0.5, max_iter=min(maps))
-    stacked = sk._solve_stack(Ps, Qs, cfg)
+    stacked = _stack(Ps, Qs, cfg)
     failed = [isinstance(s, NotConverged) for s in stacked]
     assert any(failed) and not all(failed)
     for s, (P, Q) in zip(stacked, zip(Ps, Qs)):
@@ -152,13 +172,14 @@ def test_stack_memory_is_one_kernel_stack_and_one_build(count, n):
     cost slab, plus numpy's two ufunc buffers (``half_sq_cost``'s broadcast
     subtract takes them) and 64 KiB for the stack's rows."""
     Ps, Qs = _problems(count, n=n, m=n, seed=78)
+    blocks = as_block(Ps) + as_block(Qs)
     tracemalloc.start()
     try:
-        stacked = sk._solve_stack(Ps, Qs, SolverConfig(eps=0.5))
+        stacked = sk._solve_stack(*blocks, SolverConfig(eps=0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len({report.iterations for _, report in stacked}) > 1  # leaves at different maps
+    assert len(set(stacked.iterations.tolist())) > 1  # leaves at different maps
     slack = 2 * 8 * np.getbufsize() + (64 << 10)
     assert peak <= (count + 1) * n * n * 8 + 8 * sk._COST_SLAB_ENTRIES + slack
 
@@ -166,7 +187,7 @@ def test_stack_memory_is_one_kernel_stack_and_one_build(count, n):
 def test_stack_of_one_is_solve():
     Ps, Qs = _problems(1, seed=76)
     cfg = SolverConfig(eps=0.5)
-    (stacked,) = sk._solve_stack(Ps, Qs, cfg)
+    (stacked,) = _stack(Ps, Qs, cfg)
     _assert_same(stacked, sk.solve(Ps[0], Qs[0], cfg))
 
 
@@ -174,7 +195,9 @@ def test_stack_of_one_is_solve():
 def test_stacked_solved_costs_match_lone_ones(eps):
     Ps, Qs = _problems(4, seed=77)
     cfg = SolverConfig(eps=eps)
-    for stacked, P, Q in zip(sk._solved_costs(Ps, Qs, cfg), Ps, Qs):
+    solved = _solved(Ps, Qs, cfg)
+    for r, (P, Q) in enumerate(zip(Ps, Qs)):
+        stacked = (*sk._row_result(solved, r, cfg), solved.cost[r])
         pair, report, value = sk._solved_cost(P, Q, cfg)
         assert stacked[2] == value
         _assert_same(stacked[:2], (pair, report))
@@ -182,7 +205,8 @@ def test_stacked_solved_costs_match_lone_ones(eps):
 
 
 def _draws(P, n, count, seed):
-    """``count`` count-weighted empirical measures of n draws on P's atoms."""
+    """The block of ``count`` count-weighted empirical measures of n draws on
+    P's atoms."""
     return hz._empirical(P, n, [ms.SplitMix64(ms.derived_seed(SUITE_SEED, seed, r))
                                 for r in range(count)])
 
@@ -197,20 +221,23 @@ def test_stack_on_shared_supports_builds_one_kernel(floor, path, monkeypatch):
     stream = ms.SeedSpec(SUITE_SEED, 90).stream()
     P, Q = (ms.uniform_on(stream.uniforms(20).reshape(10, 2)) for _ in range(2))
     Ps, P2s = _draws(P, 12, 6, seed=91), _draws(P, 12, 6, seed=92)
-    assert all(np.any(X.weights == 0) for X in Ps + P2s)
+    assert all(np.any(w == 0) for w in [*Ps[1], *P2s[1]])
     kernels = []
     build = sk._gibbs_kernel
     monkeypatch.setattr(sk, "_gibbs_kernel",
                         lambda X, Y, eps: kernels.append(1) or build(X, Y, eps))
     monkeypatch.setattr(sk, "_KERNEL_FLOOR", floor)
     spreads = set()
-    for Xs, Ys in [(Ps, [Q] * 6), (Ps, [P] * 6), (Ps, Ps), (P2s, P2s), (Ps, P2s)]:
+    Q_all, P_all = (Q.points, Q.weights), (P.points, P.weights)  # one vector for all rows
+    for Xs, Ys in [(Ps, Q_all), (Ps, P_all), (Ps, Ps), (P2s, P2s), (Ps, P2s)]:
         for eps in (0.05, 1.0):  # 8 to 17 maps at 0.05, leaving at different maps
             cfg = SolverConfig(eps=eps)
             kernels.clear()
-            stacked = sk._solve_stack(Xs, Ys, cfg)
-            assert len(kernels) == (1 if path == "kernel" else 1 + len(Xs))
-            for s, X, Y in zip(stacked, Xs, Ys):
+            solved = sk._solve_stack(*Xs, *Ys, cfg)
+            stacked = [_row(solved, r, cfg) for r in range(6)]
+            assert len(kernels) == (1 if path == "kernel" else 1 + 6)
+            lone_Ys = block_measures(Ys) if Ys[1].ndim == 2 else [ms.DiscreteMeasure(*Ys)] * 6
+            for s, X, Y in zip(stacked, block_measures(Xs), lone_Ys):
                 _assert_same(s, _lone(X, Y, cfg))
                 assert _parts(s)[1].path == path
             spreads.add(len({_parts(s)[1].iterations for s in stacked}))
