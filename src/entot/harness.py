@@ -29,7 +29,9 @@ size. A chunk holds as many replicates as ``_CHUNK_ENTRIES`` entries hold of
 their largest transport operators, or of their solver state, whichever is
 larger. A cell whose replicates' largest transport operator has at least
 ``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out to a
-thread pool of at most one worker per usable CPU; smaller replicates are
+thread pool of at most one worker per usable CPU, and of no more workers than
+``_WORKER_BYTES`` hold of the run's largest operator (as float64, and at most
+``sinkhorn.DENSE_ENTRY_LIMIT`` entries of it); smaller replicates are
 mostly GIL-held numpy calls on short vectors, so their cells run in the
 calling thread, where a second thread would only slow them down. No chunk
 size or thread count changes an output byte. Two reductions turn the loop's
@@ -52,6 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import sinkhorn
 from .errors import ConfigError
 from .inference import _ci_two_sample_stack
 from .measures import (
@@ -70,8 +73,8 @@ from .measures import (
 from .oracle import GaussianPairSpec, gaussian_cost
 from .potentials import (GridSpec, HolderOrder, _extensions, _kernel_tables, _order_terms,
                          f_extension, multi_indices)
-from .sinkhorn import (DENSE_ENTRY_LIMIT, Normalization, SolverConfig, _shift, _solve_stack,
-                       _solved_cost, normalize, solve)
+from .sinkhorn import (Normalization, SolverConfig, _shift, _solve_stack, _solved_cost,
+                       normalize, solve)
 
 _POPULATION_TAG = 0x504F50  # distinguishes population draws from replicate draws
 
@@ -85,6 +88,11 @@ _TRUTH_TOL = 1e-12  # population problems are solved well below replicate tol
 # with every coverage-desk chunk in the pool at two threads a round call took
 # 1.1x the wall time and 1.5x the CPU time.
 _POOL_MIN_ENTRIES = 1 << 17
+
+# The pool's workers together hold at most this many bytes of the run's
+# largest transport operator, one each: five n = 5000 kernels. A blocked
+# operator counts as DENSE_ENTRY_LIMIT entries, the most a solve holds.
+_WORKER_BYTES = 1 << 30
 
 # A smaller cell runs its replicates in stacked chunks of as many as fit this
 # many entries (1 MB of float64) of their largest transport operators, and of
@@ -164,9 +172,9 @@ class ExperimentConfig:
         if self.atoms < 1:
             raise ConfigError("atoms must be >= 1")
         coords = max(max(self.n_list), self.atoms) * max(self.dims)
-        if coords > DENSE_ENTRY_LIMIT:
+        if coords > sinkhorn.DENSE_ENTRY_LIMIT:
             raise ConfigError(f"a sample of {coords} coordinates exceeds "
-                              f"DENSE_ENTRY_LIMIT = {DENSE_ENTRY_LIMIT}")
+                              f"DENSE_ENTRY_LIMIT = {sinkhorn.DENSE_ENTRY_LIMIT}")
         if self.kind is not ExperimentKind.COVERAGE:
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly increasing for rate runs")
@@ -562,9 +570,13 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
     _check_kind(cfg, kind)
     scenario = _scenario_for(cfg)
     statistic, labels, operator_shape = _KINDS[kind]
-    # at most one worker per replicate and per usable CPU, whatever threads asks
+    # at most one worker per replicate and per usable CPU, whatever threads
+    # asks, and as many as _WORKER_BYTES hold of the largest operator
+    largest = max(math.prod(operator_shape(scenario, d, n))
+                  for d, n in itertools.product(cfg.dims, cfg.n_list))
     cpus = _usable_cpus()
-    workers = min(cpus if threads is None else threads, cfg.replicates, cpus)
+    workers = min(cpus if threads is None else threads, cfg.replicates, cpus,
+                  max(1, _WORKER_BYTES // (8 * min(largest, sinkhorn.DENSE_ENTRY_LIMIT))))
     reps = cfg.replicates
     cells = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

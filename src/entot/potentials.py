@@ -36,7 +36,7 @@ import numpy as np
 from .errors import UnsupportedOrder, WrongNormalization
 from .measures import CompactDomain, DiscreteMeasure, SplitMix64
 from .sinkhorn import (Normalization, PotentialPair, _gibbs_kernel, _kernel_soft_min,
-                       _log_weights, _soft_min, half_sq_cost)
+                       _log_weights, _require_dense, _soft_min, half_sq_cost)
 
 MAX_DERIVATIVE_ORDER = 6
 
@@ -144,8 +144,11 @@ def _kernel_tables(points: np.ndarray, opposite: DiscreteMeasure, eps: float,
 
     ``K`` is stored column-major (built as the transpose), so the products
     with it run along the points: on a 1681 x 10 grid kernel the moment
-    product took 29 us against 121 us row-major (2-vCPU VM)."""
+    product took 29 us against 121 us row-major (2-vCPU VM). Above
+    ``DENSE_ENTRY_LIMIT`` points x support entries this raises
+    :class:`ValueError` before allocating anything."""
     Y = opposite.points
+    _require_dense("kernel", len(points), len(Y))
     betas = multi_indices(Y.shape[1], max_order)
     M = np.empty((Y.shape[0], len(betas) - 1))
     for k, beta in enumerate(betas[1:]):

@@ -1,19 +1,21 @@
 """Solver for the entropically regularized transport dual.
 
 The ground cost is the half squared Euclidean distance between support
-points. Below a configurable entry budget a solve holds one dense operator:
-the Gibbs kernel ``K = exp(-C/eps)``, on which a half-step is one
+points. ``DENSE_ENTRY_LIMIT`` bounds the largest array the library holds,
+and is read at call time. Up to that many entries a solve holds one dense
+operator: the Gibbs kernel ``K = exp(-C/eps)``, on which a half-step is one
 matrix-vector product of max-shifted scalings. When a kernel row or column
 sum falls below ``_KERNEL_FLOOR`` (``K`` has underflowed where it matters),
 the solve drops the kernel and runs that half-step, and every later one, as
-a blocked solve does. Above the budget every half-step builds row slabs of
-the cost within it and runs on log-scale quantities with max-shifted
-log-sum-exp. The g step is the f step on the transposed operator. Every
-kernel half-step is ``_kernel_soft_min`` and every log-domain one
-``_soft_min``, on the rows of one cost slab at a time; the potential
-extension runs the same pair, on a kernel from ``_gibbs_kernel``. Weighted
-sums use ``einsum``, never BLAS, so no result depends on the BLAS thread
-count; the only LAPACK call solves 5 x 5 systems, one at a time.
+a blocked solve does. Above the limit every half-step builds cost row slabs
+of about ``_COST_SLAB_ENTRIES`` entries (``_cost_slabs``, as every cost
+build) and runs on log-scale quantities with max-shifted log-sum-exp. The g
+step is the f step on the transposed operator. Every kernel half-step is
+``_kernel_soft_min`` and every log-domain one ``_soft_min``, on the rows of
+one cost slab at a time; the potential extension runs the same pair, on a
+kernel from ``_gibbs_kernel``. Weighted sums use ``einsum``, never BLAS, so
+no result depends on the BLAS thread count; the only LAPACK call solves 5 x
+5 systems, one at a time.
 
 :func:`solve` iterates the map ``f -> f_from(g_from(f))`` with safeguarded
 Anderson mixing and stops when the map moves f by at most ``tol * eps`` on
@@ -45,18 +47,20 @@ import numpy as np
 from .errors import DimensionMismatch, NegativeEntry, NotConverged, NotOptimal
 from .measures import DiscreteMeasure, _check_eps
 
-# Above this many cost-matrix entries each half-step builds cost slabs of at
-# most this size instead (16M entries ~ 128 MB of float64).
-DENSE_ENTRY_LIMIT = 16_000_000
+# The largest n x m array the library holds: a Gibbs kernel or a plan (32M
+# entries, 256 MB of float64, covers the 25M-entry n = 5000 cells). Above it
+# a solve runs blocked, and a plan or extension tables are refused. Read at
+# call time, so one patch of this name reaches every reader.
+DENSE_ENTRY_LIMIT = 32_000_000
 
 # A kernel sum at or above this floor is exact to double precision: terms
-# lost to underflow are each below 2.3e-308, so even 16M of them amount to
+# lost to underflow are each below 2.3e-308, so even 32M of them amount to
 # less than 1e-100 of the sum. Below it the half-step is redone in the log
 # domain.
 _KERNEL_FLOOR = 1e-200
 
-# half_sq_cost builds the cost in row slabs of about this many entries, with
-# one slab-sized temporary (256 KB, so it stays in L2). Measured fastest
+# Every cost build (_cost_slabs) runs in row slabs of about this many entries,
+# with one slab-sized temporary (256 KB, so it stays in L2). Measured fastest
 # among 16K-256K entries from 1681 x 10 to 5000 x 5000 costs; fixed 64-row
 # slabs cost skinny grids (m = 10) one numpy call per 640 entries.
 _COST_SLAB_ENTRIES = 1 << 15
@@ -137,8 +141,9 @@ class SolveReport:
     two-sided residual of the returned pair, as :func:`optimality_residual`
     defines it. ``path`` names the half-step arithmetic: ``"kernel"``,
     ``"kernel+log"`` (a kernel sum underflowed and the rest of the solve ran
-    on cost slabs, log domain) or ``"blocked"`` (cost rebuilt in slabs, log
-    domain, from the first half-step). ``iterations`` counts evaluations of
+    on cost slabs, log domain) or ``"blocked"`` (more than
+    ``DENSE_ENTRY_LIMIT`` cost entries: cost rebuilt in slabs, log domain,
+    from the first half-step). ``iterations`` counts evaluations of
     the map ``f -> f_from(g_from(f))``, two half-steps each; the last one
     gives ``final_residual``, which is also ``optimality_residual``, and the
     dual value.
@@ -219,30 +224,45 @@ def half_sq_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Half squared Euclidean distances, accumulated per axis.
 
     Avoids BLAS so the summation order (and hence the bit pattern) does not
-    depend on the thread count of the underlying library. Built in row slabs
-    of about ``_COST_SLAB_ENTRIES`` entries, so the only temporary is one
-    slab; the first axis squares in the slab itself, and Y's coordinates are
-    read from a contiguous copy of each axis (a 250 x 250 cost at d = 2 took
-    a quarter less time than with a zeroed slab and strided columns).
+    depend on the thread count of the underlying library. Built by
+    :func:`_cost_slabs` in the rows of the result.
+    """
+    if X.shape[1] == 0:
+        return np.zeros((X.shape[0], Y.shape[0]))
+    C = np.empty((X.shape[0], Y.shape[0]))
+    for _ in _cost_slabs(X, Y, C):
+        pass
+    return C
+
+
+def _cost_slabs(X: np.ndarray, Y: np.ndarray, C: np.ndarray | None = None):
+    """The half squared cost between the rows of X and Y, as ``(rows, slab)``
+    pairs in row order: a slice of X's rows and their cost rows, about
+    ``_COST_SLAB_ENTRIES`` entries. The slabs are written into ``C``'s rows
+    when it is given, else into one buffer that every slab reuses, which the
+    caller may overwrite. The only temporary is one slab; the first axis
+    squares in the slab itself, and Y's coordinates are read from one
+    contiguous copy of each axis (a 250 x 250 cost at d = 2 took a quarter
+    less time than with a zeroed slab and strided columns). Each entry's
+    bits are those of :func:`half_sq_cost`, whatever the slab height.
     """
     n, m = X.shape[0], Y.shape[0]
-    if X.shape[1] == 0:
-        return np.zeros((n, m))
     rows = max(1, _COST_SLAB_ENTRIES // max(m, 1))
-    C = np.empty((n, m))
     diff = np.empty((min(n, rows), m))
+    buffer = np.empty_like(diff) if C is None else None
     Y_axes = np.ascontiguousarray(Y.T)
     for start in range(0, n, rows):
-        slab = C[start:start + rows]
+        k = slice(start, start + rows)
+        slab = buffer[:min(rows, n - start)] if C is None else C[k]
         tmp = diff[:slab.shape[0]]
-        for k in range(X.shape[1]):
-            term = tmp if k else slab
-            np.subtract(X[start:start + rows, k, None], Y_axes[k], out=term)
+        for axis in range(X.shape[1]):
+            term = tmp if axis else slab
+            np.subtract(X[k, axis, None], Y_axes[axis], out=term)
             np.multiply(term, term, out=term)
-            if k:
+            if axis:
                 slab += term
         slab *= 0.5
-    return C
+        yield k, slab
 
 
 def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
@@ -267,20 +287,19 @@ class _Updates:
     one 2-d kernel when both supports are shared or the stack holds one
     problem, and runs a half-step as one kernel product over it; row r of a
     half-step's argument and result belongs to problem r. Only a lone problem
-    leaves its kernel (:func:`_kernel_soft_min`): above ``dense_entry_limit``
+    leaves its kernel (:func:`_kernel_soft_min`): above ``DENSE_ENTRY_LIMIT``
     entries, or from its first kernel sum below ``_KERNEL_FLOOR`` on, it
-    rebuilds cost slabs of at most that many entries on every half-step.
-    ``path`` is its :class:`SolveReport` path so far.
+    rebuilds cost row slabs of about ``_COST_SLAB_ENTRIES`` entries on every
+    half-step. ``path`` is its :class:`SolveReport` path so far.
     """
 
-    def __init__(self, X, a, Y, b, eps: float, dense_entry_limit: int = DENSE_ENTRY_LIMIT):
+    def __init__(self, X, a, Y, b, eps: float):
         if X.shape[-1] != Y.shape[-1]:
             raise DimensionMismatch(f"ambient dimensions differ: {X.shape[-1]} vs {Y.shape[-1]}")
         self.a, self.b = _rows(a, len(a)), _rows(b, len(a))
         self.log_a, self.log_b = _log_weights(self.a), _log_weights(self.b)
         self.eps = eps
-        self._limit = dense_entry_limit
-        dense = self.a.shape[1] * self.b.shape[1] <= dense_entry_limit
+        dense = self.a.shape[1] * self.b.shape[1] <= DENSE_ENTRY_LIMIT
         if not dense and len(a) > 1:
             raise _Unstackable
         self.path = "kernel" if dense else "blocked"
@@ -308,10 +327,8 @@ class _Updates:
             self._ops, self.path = None, "kernel+log"
         rows, cols = self._points[side]
         out = np.empty(pot.shape[:-1] + rows.shape[:1])
-        step = max(1, self._limit // cols.shape[0])
-        for start in range(0, rows.shape[0], step):
-            k = slice(start, start + step)
-            out[..., k] = _soft_min(pot, self._log_w[side], half_sq_cost(rows[k], cols), self.eps)
+        for k, C in _cost_slabs(rows, cols):
+            out[..., k] = _soft_min(pot, self._log_w[side], C, self.eps)
         return out
 
     def f_from(self, g: np.ndarray) -> np.ndarray:
@@ -377,8 +394,7 @@ def _shift(f: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray,
     return f + c[:, None], g - c[:, None]
 
 
-def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
-          dense_entry_limit: int = DENSE_ENTRY_LIMIT):
+def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
     """Iterate the dual map with Anderson mixing until the marginal residual is met.
 
     The map is ``T(f) = f_from(g_from(f))``, one alternating sweep (two
@@ -407,7 +423,7 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig,
     attached) if the map budget runs out first. This is :func:`_solve_stack`
     on a stack of one.
     """
-    return _row_result(_solve_stack(*_problem(P, Q), cfg, dense_entry_limit), 0, cfg)
+    return _row_result(_solve_stack(*_problem(P, Q), cfg), 0, cfg)
 
 
 class _Solved(NamedTuple):
@@ -437,8 +453,7 @@ def _row_result(solved: _Solved, r: int, cfg: SolverConfig):
     return pair, report
 
 
-def _solve_stack(X, a, Y, b, cfg: SolverConfig,
-                 dense_entry_limit: int = DENSE_ENTRY_LIMIT) -> _Solved:
+def _solve_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
     """:func:`solve` of each problem of a stack (:class:`_Updates` gives the
     block layout), in one map loop.
 
@@ -452,12 +467,12 @@ def _solve_stack(X, a, Y, b, cfg: SolverConfig,
     its kernels is solved again one problem at a time.
     """
     try:
-        return _sweep_stack(X, a, Y, b, cfg, dense_entry_limit)
+        return _sweep_stack(X, a, Y, b, cfg)
     except _Unstackable:
         pass  # leaving the handler drops the traceback, and the stack's kernels with it
     b = _rows(b, len(a))
-    lone = [_sweep_stack(_support(X, r), a[r:r + 1], _support(Y, r), b[r:r + 1], cfg,
-                         dense_entry_limit) for r in range(len(a))]
+    lone = [_sweep_stack(_support(X, r), a[r:r + 1], _support(Y, r), b[r:r + 1], cfg)
+            for r in range(len(a))]
     return _Solved(*(np.concatenate(rows) for rows in zip(*lone)))
 
 
@@ -478,9 +493,9 @@ _RIDGE = 1e-12
 _KEEP = 1 - 1e-9
 
 
-def _sweep_stack(X, a, Y, b, cfg: SolverConfig, dense_entry_limit: int) -> _Solved:
+def _sweep_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
     """The map loop of :func:`_solve_stack`; raises :class:`_Unstackable`."""
-    upd = _Updates(X, a, Y, b, cfg.eps, dense_entry_limit)
+    upd = _Updates(X, a, Y, b, cfg.eps)
     eps, count = cfg.eps, len(upd.a)
     x = np.zeros(upd.a.shape)  # the points mapped next
     t = r = x  # T and the residual T - id at each problem's last kept point
@@ -624,6 +639,14 @@ def _solved_cost(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
     return pair, report, _dot(pair.f, P.weights) + _dot(pair.g, Q.weights)
 
 
+def _require_dense(what: str, n: int, m: int) -> None:
+    """Raise :class:`ValueError` when ``what``, a dense n x m array, would
+    hold more than ``DENSE_ENTRY_LIMIT`` entries."""
+    if n * m > DENSE_ENTRY_LIMIT:
+        raise ValueError(f"{what} of {n} x {m} = {n * m} entries exceeds "
+                         f"DENSE_ENTRY_LIMIT = {DENSE_ENTRY_LIMIT}")
+
+
 def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> TransportPlan:
     """Entropic coupling ``pi_ij = a_i b_j exp((f_i + g_j - C_ij)/eps)``.
 
@@ -631,9 +654,7 @@ def plan(P: DiscreteMeasure, Q: DiscreteMeasure, pair: PotentialPair) -> Transpo
     this raises :class:`ValueError` before allocating anything.
     """
     _check_pair_dims(P, Q, pair)
-    if P.n * Q.n > DENSE_ENTRY_LIMIT:
-        raise ValueError(f"plan of {P.n} x {Q.n} = {P.n * Q.n} entries exceeds "
-                         f"DENSE_ENTRY_LIMIT = {DENSE_ENTRY_LIMIT}")
+    _require_dense("plan", P.n, Q.n)
     E = half_sq_cost(P.points, Q.points)
     # row i is a_i exp((f_i - f_hat_i)/eps) times the f half-step's exponentials, normalised
     f_hat = _soft_min(pair.g, _log_weights(Q.weights), E, pair.eps)
@@ -647,8 +668,8 @@ def primal_cost(P: DiscreteMeasure, Q: DiscreteMeasure, transport: TransportPlan
     """Transport term plus eps times relative entropy to the product weights.
 
     Zero entries contribute zero to the entropy term. Both terms accumulate
-    over row slabs of the plan, each against its own :func:`half_sq_cost`
-    slab, so memory is the plan plus one slab.
+    over row slabs of the plan, each against its own cost slab
+    (:func:`_cost_slabs`), so memory is the plan plus two slabs.
     """
     pi = transport.entries
     if pi.shape != (P.n, Q.n):
@@ -656,14 +677,11 @@ def primal_cost(P: DiscreteMeasure, Q: DiscreteMeasure, transport: TransportPlan
             f"plan shaped {pi.shape} does not match supports ({P.n}, {Q.n})"
         )
     log_a, log_b = _log_weights(P.weights), _log_weights(Q.weights)
-    rows = max(1, _COST_SLAB_ENTRIES // max(Q.n, 1))
     transport_term = entropy_term = 0.0
-    for start in range(0, P.n, rows):
-        k = slice(start, start + rows)
+    for k, E in _cost_slabs(P.points, Q.points):
         p = pi[k]
         if (p < 0).any():
             raise NegativeEntry("transport plan has a negative entry")
-        E = half_sq_cost(P.points[k], Q.points)
         E *= p
         transport_term += float(E.sum())
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,7 +14,7 @@ from entot.errors import ConfigError
 from entot.harness import EmitFormat, ExperimentConfig, ExperimentKind, ScenarioKind
 from entot.sinkhorn import Normalization, SolverConfig
 
-from _util import SUITE_SEED, block_measures, force_pool
+from _util import SUITE_SEED, block_measures, force_pool, random_instance
 
 CONFIG_TEXT = """
 # smoke sweep
@@ -130,6 +130,26 @@ def test_sample_coordinates_are_bounded_at_the_config():
             hz.parse_config(text.replace("n_list = 30, 60", line))
     with pytest.raises(ConfigError, match="coordinates"):
         hz.parse_config(text + f"atoms = {limit // 15 + 1}\n")
+
+
+def test_one_patch_of_the_dense_limit_reaches_every_reader(monkeypatch):
+    stream = ms.SeedSpec(SUITE_SEED, 63).stream()
+    P, Q = random_instance(stream, 2)
+    limit = P.n * Q.n - 1
+    monkeypatch.setattr(sk, "DENSE_ENTRY_LIMIT", limit)
+    cfg = SolverConfig(eps=1.0)
+    pair, report = sk.solve(P, Q, cfg)
+    assert report.path == "blocked"
+    assert sk._solve_stack(*sk._problem(P, Q), cfg).path.tolist() == ["blocked"]
+    with pytest.raises(ValueError, match="DENSE_ENTRY_LIMIT"):
+        sk.plan(P, Q, pair)
+    with pytest.raises(ConfigError, match="DENSE_ENTRY_LIMIT"):  # 2 * limit coordinates
+        hz.parse_config(CONFIG_TEXT.replace("n_list = 30, 60", f"n_list = {limit}"))
+
+
+def test_every_full_table_cell_runs_on_the_kernel():
+    cfg = hz.load_config(Path(__file__).parents[1] / "configs" / "coverage_full.txt")
+    assert max(cfg.n_list) ** 2 <= sk.DENSE_ENTRY_LIMIT
 
 
 def test_derived_seed_deterministic():
@@ -386,6 +406,24 @@ def test_fan_out_workers_are_capped(monkeypatch, serial_pool):
     assert serial_pool.requested == [5]  # usable CPUs
     hz.run_coverage(_tiny_coverage(replicates=3), threads=10**6)
     assert serial_pool.requested == [5, 3]  # replicates
+    assert hz.render(capped, EmitFormat.PLOT_DATA) == hz.render(serial, EmitFormat.PLOT_DATA)
+
+
+def test_fan_out_workers_fit_the_worker_budget(monkeypatch, serial_pool):
+    # workers x 8 x min(largest operator entries, DENSE_ENTRY_LIMIT) <= _WORKER_BYTES
+    monkeypatch.setattr(hz, "_POOL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(hz, "_usable_cpus", lambda: 5)
+    cfg = replace(_tiny_coverage(replicates=12), n_list=(20, 30))  # largest operator: 900
+    serial = hz.run_coverage(cfg, threads=1)
+    monkeypatch.setattr(hz, "_WORKER_BYTES", 2 * 900 * 8)
+    capped = hz.run_coverage(cfg)
+    assert serial_pool.requested == [2]
+    monkeypatch.setattr(sk, "DENSE_ENTRY_LIMIT", 450)  # the blocked operator counts 450
+    hz.run_coverage(cfg)
+    assert serial_pool.requested == [2, 4]
+    monkeypatch.setattr(hz, "_WORKER_BYTES", 450 * 8 - 1)  # not even one: a serial run
+    hz.run_coverage(cfg)
+    assert serial_pool.requested == [2, 4]
     assert hz.render(capped, EmitFormat.PLOT_DATA) == hz.render(serial, EmitFormat.PLOT_DATA)
 
 

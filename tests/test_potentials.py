@@ -161,6 +161,19 @@ def test_derivative_requires_unit_eps():
     fe.extend([0.5])
 
 
+def test_extension_tables_refuse_more_entries_than_the_dense_limit(monkeypatch):
+    P, Q, pair = _solved(ms.SeedSpec(SUITE_SEED, 48).stream(), 2)
+    fe = pot.f_extension(pair, Q)
+    zero = (0, 0)
+    monkeypatch.setattr(sk, "DENSE_ENTRY_LIMIT", 3 * Q.n)
+    assert fe.evaluate(np.zeros((3, 2)), [zero])[zero].shape == (3,)
+    with pytest.raises(ValueError, match=f"{4 * Q.n} entries"):
+        fe.evaluate(np.zeros((4, 2)), [zero])
+    with pytest.raises(ValueError, match="DENSE_ENTRY_LIMIT"):
+        pot.check_potential_bounds(sk.normalize(pair, P, Q, Normalization.ZERO_G_MEAN), P, Q,
+                                   ms.CompactDomain.enclosing(P, Q))
+
+
 def test_derivative_order_limits():
     stream = ms.SeedSpec(SUITE_SEED, 46).stream()
     P, Q, pair = _solved(stream, 1)

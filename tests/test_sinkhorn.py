@@ -249,12 +249,12 @@ def test_scaling_identity_smoke():
         assert native == pytest.approx(eps * sk.cost(Ps, Qs, pair1, tol=tol), abs=100 * tol)
 
 
-def test_blocked_cost_path_matches_dense():
+def test_blocked_cost_path_matches_dense(monkeypatch):
     stream = ms.SeedSpec(SUITE_SEED, 30).stream()
     P, Q = random_instance(stream, 2, max_atoms=9)
     dense_pair, dense_report = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-11))
-    blocked_pair, blocked_report = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-11),
-                                            dense_entry_limit=4)
+    monkeypatch.setattr(sk, "DENSE_ENTRY_LIMIT", 4)
+    blocked_pair, blocked_report = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-11))
     assert (dense_report.path, blocked_report.path) == ("kernel", "blocked")
     assert blocked_report.optimality_residual <= 10 * 1e-11
     assert np.max(np.abs(dense_pair.f - blocked_pair.f)) <= 1e-12
@@ -456,6 +456,23 @@ def test_kernel_underflow_drops_the_kernel():
             tracemalloc.stop()
     assert report.path == "kernel+log"
     assert peak < 1.5 * n * n * 8
+
+
+def test_blocked_solve_holds_no_n_by_m_array(monkeypatch):
+    # it rebuilds cost slabs of _COST_SLAB_ENTRIES entries on every half-step
+    stream = ms.SeedSpec(SUITE_SEED, 64).stream()
+    n = 600
+    P = ms.uniform_on(stream.uniforms(2 * n).reshape(n, 2))
+    Q = ms.uniform_on(stream.uniforms(2 * n).reshape(n, 2))
+    monkeypatch.setattr(sk, "DENSE_ENTRY_LIMIT", n * n - 1)
+    tracemalloc.start()
+    try:
+        _, report = sk.solve(P, Q, SolverConfig(eps=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.path == "blocked"
+    assert peak < n * n * 8 / 2
 
 
 def test_plan_refuses_more_entries_than_the_dense_limit(monkeypatch):

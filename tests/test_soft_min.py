@@ -88,11 +88,15 @@ def test_blocked_solve_matches_dense_log_solve(case):
         m.setattr(sk, "_KERNEL_FLOOR", np.inf)
         dense, dense_report = sk.solve(P, Q, cfg)
     assert dense_report.path == "kernel+log"
-    # 9 x 6 entries. Limit 1: single-row and single-column slabs. 18: row
-    # slabs of 3 and column slabs of 2, both exact. 40: row slabs 6 + 3 and
-    # column slabs 4 + 2, each with a short last slab.
-    for limit in (1, 18, 40):
-        blocked, report = sk.solve(P, Q, cfg, dense_entry_limit=limit)
+    # 9 x 6 entries, one slab each way on the fallback. Slab size 1:
+    # single-row and single-column slabs. 18: row slabs of 3 and column slabs
+    # of 2, both exact. 40: row slabs 6 + 3 and column slabs 4 + 2, each with
+    # a short last slab.
+    for slab in (1, 18, 40):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(sk, "DENSE_ENTRY_LIMIT", P.n * Q.n - 1)
+            m.setattr(sk, "_COST_SLAB_ENTRIES", slab)
+            blocked, report = sk.solve(P, Q, cfg)
         assert report.path == "blocked"
         # The fallback runs the blocked path's slab loop: the same bits.
         assert blocked.f.tobytes() == dense.f.tobytes()

@@ -1,12 +1,13 @@
 """Property tests for the solver's invariants on each of its three paths.
 
 Small problems run on the Gibbs kernel by default; the log path is forced by
-setting ``_KERNEL_FLOOR`` to infinity, and the blocked path by a
-``dense_entry_limit`` below the number of cost entries. On the log path the
-solve drops the kernel at its first half-step and runs the blocked path's
-slab loop with one slab per half-step, so the two log-domain paths differ
-only in slab height. One test reaches the log path without forcing, through
-a kernel that underflows at small eps.
+setting ``_KERNEL_FLOOR`` to infinity, and the blocked path by setting
+``DENSE_ENTRY_LIMIT`` below the number of cost entries for the solve alone,
+so the checks after it run at the default limit. On the log path the solve
+drops the kernel at its first half-step and runs the blocked path's slab
+loop, so the two log-domain paths differ only in where they start. One test
+reaches the log path without forcing, through a kernel that underflows at
+small eps.
 """
 
 import contextlib
@@ -46,9 +47,10 @@ def _on_path(path):
 
 
 def _solve(P, Q, eps, path):
-    limit = P.n * Q.n // 2 if path == "blocked" else sk.DENSE_ENTRY_LIMIT
-    pair, report = sk.solve(P, Q, SolverConfig(eps=eps, tol=_TOL, max_iter=_MAX_ITER),
-                            dense_entry_limit=limit)
+    with pytest.MonkeyPatch.context() as m:
+        if path == "blocked":
+            m.setattr(sk, "DENSE_ENTRY_LIMIT", P.n * Q.n // 2)
+        pair, report = sk.solve(P, Q, SolverConfig(eps=eps, tol=_TOL, max_iter=_MAX_ITER))
     assert report.path == {"kernel": "kernel", "log": "kernel+log", "blocked": "blocked"}[path]
     return pair, report
 

@@ -29,9 +29,9 @@ def _problems(count, n=40, m=30, seed=71):
             [ms.sample_gaussian(np.ones(2), 1.0, m, stream) for _ in range(count)])
 
 
-def _lone(P, Q, cfg, **kw):
+def _lone(P, Q, cfg):
     try:
-        return sk.solve(P, Q, cfg, **kw)
+        return sk.solve(P, Q, cfg)
     except NotConverged as exc:
         return exc
 
@@ -44,14 +44,14 @@ def _row(solved, r, cfg):
         return exc
 
 
-def _solved(Ps, Qs, cfg, **kw):
+def _solved(Ps, Qs, cfg):
     """The record of one stacked solve of the problems (Ps[r], Qs[r])."""
-    return sk._solve_stack(*as_block(Ps), *as_block(Qs), cfg, **kw)
+    return sk._solve_stack(*as_block(Ps), *as_block(Qs), cfg)
 
 
-def _stack(Ps, Qs, cfg, **kw):
+def _stack(Ps, Qs, cfg):
     """Each problem's row of one stacked solve, as ``solve`` returns or raises it."""
-    solved = _solved(Ps, Qs, cfg, **kw)
+    solved = _solved(Ps, Qs, cfg)
     return [_row(solved, r, cfg) for r in range(len(Ps))]
 
 
@@ -74,9 +74,9 @@ def _assert_same(stacked, lone):
         assert getattr(ra, field) == getattr(rb, field), field
 
 
-def _check_stack(Ps, Qs, cfg, **kw):
-    stacked = _stack(Ps, Qs, cfg, **kw)
-    lone = [_lone(P, Q, cfg, **kw) for P, Q in zip(Ps, Qs)]
+def _check_stack(Ps, Qs, cfg):
+    stacked = _stack(Ps, Qs, cfg)
+    lone = [_lone(P, Q, cfg) for P, Q in zip(Ps, Qs)]
     assert len(stacked) == len(Ps)
     for s, lo in zip(stacked, lone):
         _assert_same(s, lo)
@@ -133,12 +133,12 @@ def test_stack_with_one_underflowing_problem_matches_lone_solves(spread, first, 
         assert reports[2].iterations < min(others)
     else:
         assert reports[2].iterations > max(others)
-    # cost builds, kernels included (_gibbs_kernel looks half_sq_cost up in
+    # cost builds, kernels included (half_sq_cost looks _cost_slabs up in
     # the module): the stack builds its kernels, then at most what its
     # problems' lone solves build
     builds = []
-    build = sk.half_sq_cost
-    monkeypatch.setattr(sk, "half_sq_cost", lambda X, Y: builds.append(1) or build(X, Y))
+    build = sk._cost_slabs
+    monkeypatch.setattr(sk, "_cost_slabs", lambda *args: builds.append(1) or build(*args))
     _solved(Ps, Qs, cfg)
     stacked = len(builds)
     for P, Q in zip(Ps, Qs):
@@ -146,9 +146,10 @@ def test_stack_with_one_underflowing_problem_matches_lone_solves(spread, first, 
     assert stacked <= len(Ps) + len(builds) - stacked
 
 
-def test_blocked_stack_matches_lone_solves():
+def test_blocked_stack_matches_lone_solves(monkeypatch):
     Ps, Qs = _problems(3, n=20, m=15, seed=74)
-    reports = _check_stack(Ps, Qs, SolverConfig(eps=0.5), dense_entry_limit=100)
+    monkeypatch.setattr(sk, "DENSE_ENTRY_LIMIT", 100)
+    reports = _check_stack(Ps, Qs, SolverConfig(eps=0.5))
     assert {r.path for r in reports} == {"blocked"}
 
 

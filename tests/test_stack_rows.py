@@ -10,8 +10,6 @@ stack is then solved again one problem at a time), blocked stacks of one, and
 a stack of one, which runs on a 2-d kernel whatever its layout.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -76,9 +74,8 @@ def test_each_row_of_a_stack_is_its_lone_solve_cost_and_interval(stack):
     X, a, Y, b, cfg, limit = stack
     b_rows = sk._rows(b, len(a))
     with pytest.MonkeyPatch.context() as mp:  # the lone and stacked solves at this limit
-        mp.setattr(sk, "solve", partial(sk.solve, dense_entry_limit=limit))
-        mp.setattr(inf, "_solve_stack", partial(sk._solve_stack, dense_entry_limit=limit))
-        solved = sk._solve_stack(X, a, Y, b, cfg, limit)
+        mp.setattr(sk, "DENSE_ENTRY_LIMIT", limit)
+        solved = sk._solve_stack(X, a, Y, b, cfg)
         centers, half_widths, converged = inf._ci_two_sample_stack(X, a, Y, b_rows, cfg, 0.05)
         assert converged.tolist() == solved.converged.tolist()
         for r in range(len(a)):
