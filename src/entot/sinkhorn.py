@@ -4,18 +4,23 @@ The ground cost is the half squared Euclidean distance between support
 points. ``DENSE_ENTRY_LIMIT`` bounds the largest array the library holds,
 and is read at call time. Up to that many entries a solve holds one dense
 operator: the Gibbs kernel ``K = exp(-C/eps)``, on which a half-step is one
-matrix-vector product of max-shifted scalings. When a kernel row or column
-sum falls below ``_KERNEL_FLOOR`` (``K`` has underflowed where it matters),
-the solve drops the kernel and runs that half-step, and every later one, as
-a blocked solve does. Above the limit every half-step builds cost row slabs
-of about ``_COST_SLAB_ENTRIES`` entries (``_cost_slabs``, as every cost
-build) and runs on log-scale quantities with max-shifted log-sum-exp. The g
-step is the f step on the transposed operator. Every kernel half-step is
-``_kernel_soft_min`` and every log-domain one ``_soft_min``, on the rows of
-one cost slab at a time; the potential extension runs the same pair, on a
-kernel from ``_gibbs_kernel``. Weighted sums use ``einsum``, never BLAS, so
-no result depends on the BLAS thread count; the only LAPACK call solves 5 x
-5 systems, one at a time.
+matrix-vector product of max-shifted scalings. A kernel is built in place
+(``_gibbs_kernel``): each cost slab is scaled by ``-1/(2 eps)`` and
+exponentiated while it is in cache, straight into the kernel's rows, so the
+entries are those of ``exp(-half_sq_cost/eps)`` bit for bit at a
+power-of-two eps and within a few ulps of the exponent's argument otherwise.
+When a kernel row or column sum falls below ``_KERNEL_FLOOR`` (``K`` has
+underflowed where it matters), the solve drops the kernel and runs that
+half-step, and every later one, as a blocked solve does. Above the limit
+every half-step builds cost row slabs of about ``_COST_SLAB_ENTRIES``
+entries (``_cost_slabs``, as every cost build) and runs on log-scale
+quantities with max-shifted log-sum-exp. The g step is the f step on the
+transposed operator. Every kernel half-step is ``_kernel_soft_min`` and
+every log-domain one ``_soft_min``, on the rows of one cost slab at a time;
+the potential extension runs the same pair, on a kernel from
+``_gibbs_kernel``. Weighted sums use ``einsum``, never BLAS, so no result
+depends on the BLAS thread count; the only LAPACK call solves 5 x 5 systems,
+one at a time.
 
 :func:`solve` iterates the map ``f -> f_from(g_from(f))`` with safeguarded
 Anderson mixing and stops when the map moves f by at most ``tol * eps`` on
@@ -227,25 +232,28 @@ def half_sq_cost(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     depend on the thread count of the underlying library. Built by
     :func:`_cost_slabs` in the rows of the result.
     """
-    if X.shape[1] == 0:
-        return np.zeros((X.shape[0], Y.shape[0]))
     C = np.empty((X.shape[0], Y.shape[0]))
     for _ in _cost_slabs(X, Y, C):
         pass
     return C
 
 
-def _cost_slabs(X: np.ndarray, Y: np.ndarray, C: np.ndarray | None = None):
-    """The half squared cost between the rows of X and Y, as ``(rows, slab)``
-    pairs in row order: a slice of X's rows and their cost rows, about
-    ``_COST_SLAB_ENTRIES`` entries. The slabs are written into ``C``'s rows
-    when it is given, else into one buffer that every slab reuses, which the
-    caller may overwrite. The only temporary is one slab; the first axis
-    squares in the slab itself, and Y's coordinates are read from one
-    contiguous copy of each axis (a 250 x 250 cost at d = 2 took a quarter
-    less time than with a zeroed slab and strided columns). Each entry's
-    bits are those of :func:`half_sq_cost`, whatever the slab height.
+def _cost_slabs(X: np.ndarray, Y: np.ndarray, C: np.ndarray | None = None,
+                factor: float = 0.5):
+    """The squared cost between the rows of X and Y times ``factor`` (the
+    half squared cost by default), as ``(rows, slab)`` pairs in row order: a
+    slice of X's rows and their cost rows, about ``_COST_SLAB_ENTRIES``
+    entries. The slabs are written into ``C``'s rows when it is given, else
+    into one buffer that every slab reuses, which the caller may overwrite.
+    The only temporary is one slab; the first axis squares in the slab
+    itself, and Y's coordinates are read from one contiguous copy of each
+    axis (a 250 x 250 cost at d = 2 took a quarter less time than with a
+    zeroed slab and strided columns). Each entry's bits are those of the
+    per-axis sum times ``factor``, whatever the slab height. Raises
+    :class:`DimensionMismatch` when X and Y differ in ambient dimension.
     """
+    if X.shape[1] != Y.shape[1]:
+        raise DimensionMismatch(f"ambient dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
     n, m = X.shape[0], Y.shape[0]
     rows = max(1, _COST_SLAB_ENTRIES // max(m, 1))
     diff = np.empty((min(n, rows), m))
@@ -261,15 +269,25 @@ def _cost_slabs(X: np.ndarray, Y: np.ndarray, C: np.ndarray | None = None):
             np.multiply(term, term, out=term)
             if axis:
                 slab += term
-        slab *= 0.5
+        slab *= factor
         yield k, slab
 
 
-def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
-    """``exp(-C/eps)`` for the half squared cost between the rows of X and Y."""
-    K = half_sq_cost(X, Y)
-    np.divide(K, -eps, out=K)
-    return np.exp(K, out=K)
+def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float, K: np.ndarray | None = None):
+    """``exp(-C/eps)`` for the half squared cost C between the rows of X and
+    Y, written into ``K`` when it is given (an n x m array, such as a slot of
+    a kernel stack), else into a new array. Each slab of :func:`_cost_slabs`
+    is scaled by ``-0.5/eps`` and exponentiated while it is in cache, so the
+    only temporary is one slab. The entries are those of
+    ``exp(-half_sq_cost(X, Y)/eps)`` bit for bit when eps is a power of two;
+    otherwise the exponent's argument ``x`` differs by a few ulps, and an
+    entry by a few times ``|x|`` ulps, relative.
+    """
+    if K is None:
+        K = np.empty((X.shape[0], Y.shape[0]))
+    for _, slab in _cost_slabs(X, Y, K, -0.5 / eps):
+        np.exp(slab, out=slab)
+    return K
 
 
 class _Unstackable(Exception):
@@ -285,7 +303,9 @@ class _Updates:
     of ``a``, ``(R, n)``, and of ``b``, ``(R, m)`` or one vector for all. A
     stack holds each problem's Gibbs kernel ``exp(-C/eps)`` in one array, or
     one 2-d kernel when both supports are shared or the stack holds one
-    problem, and runs a half-step as one kernel product over it; row r of a
+    problem, and runs a half-step as one kernel product over it; each kernel
+    is built in its slot by :func:`_gibbs_kernel`, so the stack holds its
+    kernels and one cost slab, never a kernel's copy. Row r of a
     half-step's argument and result belongs to problem r. Only a lone problem
     leaves its kernel (:func:`_kernel_soft_min`): above ``DENSE_ENTRY_LIMIT``
     entries, or from its first kernel sum below ``_KERNEL_FLOOR`` on, it
@@ -294,8 +314,6 @@ class _Updates:
     """
 
     def __init__(self, X, a, Y, b, eps: float):
-        if X.shape[-1] != Y.shape[-1]:
-            raise DimensionMismatch(f"ambient dimensions differ: {X.shape[-1]} vs {Y.shape[-1]}")
         self.a, self.b = _rows(a, len(a)), _rows(b, len(a))
         self.log_a, self.log_b = _log_weights(self.a), _log_weights(self.b)
         self.eps = eps
@@ -312,7 +330,7 @@ class _Updates:
         elif dense:
             K = np.empty((len(a), self.a.shape[1], self.b.shape[1]))
             for r, k in enumerate(K):
-                k[...] = _gibbs_kernel(_support(X, r), _support(Y, r), eps)
+                _gibbs_kernel(_support(X, r), _support(Y, r), eps, k)
         self._ops = (K, K.swapaxes(-1, -2)) if dense else None
 
     def _half_step(self, pot: np.ndarray, side: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from entot import measures as ms
 from entot import oracle as orc
 from entot import potentials as pot
 from entot import sinkhorn as sk
-from entot.errors import UnsupportedOrder, WrongNormalization
+from entot.errors import DimensionMismatch, UnsupportedOrder, WrongNormalization
 from entot.potentials import GridSpec, HolderOrder, PotentialDifference, Side
 from entot.sinkhorn import Normalization, SolverConfig
 
@@ -51,6 +51,16 @@ def test_extension_matches_naive_summation():
             for b, g, y in zip(Q.weights, pair.g, Q.points)
         ))
         assert fe.extend(x) == pytest.approx(naive, abs=1e-12)
+
+
+def test_extension_refuses_points_of_other_dimensions():
+    stream = ms.SeedSpec(SUITE_SEED, 42).stream()
+    _, Q, pair = _solved(stream, 2)
+    fe = pot.f_extension(pair, Q)
+    with pytest.raises(DimensionMismatch):
+        fe.evaluate([[0.2, 0.3, 5.0]], [(0, 0)])
+    with pytest.raises(DimensionMismatch):
+        fe.extend([0.2])
 
 
 def test_conditional_moments_single_atom():

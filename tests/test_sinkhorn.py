@@ -284,6 +284,27 @@ def test_dimension_mismatch_raises():
         sk.cost(P, P, pair)
 
 
+def _planar_and_spatial():
+    """A 2-d P, a 3-d Q and a pair sized to their supports."""
+    stream = ms.SeedSpec(SUITE_SEED, 62).stream()
+    P = ms.uniform_on(stream.uniforms(4 * 2).reshape(4, 2))
+    Q = ms.uniform_on(stream.uniforms(3 * 3).reshape(3, 3))
+    return P, Q, PotentialPair(np.zeros(4), np.zeros(3), 1.0)
+
+
+def test_plan_refuses_supports_of_other_dimensions():
+    P, Q, pair = _planar_and_spatial()
+    with pytest.raises(DimensionMismatch):
+        sk.plan(P, Q, pair)
+
+
+def test_primal_cost_refuses_supports_of_other_dimensions():
+    P, Q, _ = _planar_and_spatial()
+    product = sk.TransportPlan(P.weights[:, None] * Q.weights[None, :])
+    with pytest.raises(DimensionMismatch):
+        sk.primal_cost(P, Q, product, 1.0)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(eps=0.0)
@@ -315,6 +336,36 @@ def test_half_sq_cost_slabs_match_per_axis_sum(n):
     want *= 0.5
     assert sk.half_sq_cost(X, Y).tobytes() == want.tobytes()
     assert sk.half_sq_cost(Y, X).tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
+def _supports(d, n, m, seed):
+    stream = ms.SeedSpec(SUITE_SEED, seed).stream()
+    return stream.uniforms(n * d).reshape(n, d), stream.uniforms(m * d).reshape(m, d)
+
+
+# 30 x 40 is one cost slab; 300 x 250 is three of 131 rows (the last short)
+@pytest.mark.parametrize("n, m", [(30, 40), (300, 250)])
+@pytest.mark.parametrize("d", [1, 2, 7, 15])
+def test_gibbs_kernel_is_the_exp_of_the_half_cost(d, n, m):
+    # -0.5/eps is exact at a power-of-two eps, so the kernel has the bits of
+    # dividing the half cost by eps; otherwise the exponent's argument (at
+    # most 0.5 * d / eps = 25 on the unit cube) differs by a few ulps
+    X, Y = _supports(d, n, m, seed=63 + d)
+    C = sk.half_sq_cost(X, Y)
+    for eps in (0.5, 1.0, 2.0):
+        assert sk._gibbs_kernel(X, Y, eps).tobytes() == np.exp(-C / eps).tobytes()
+    for eps in (0.3, 5.0, 10.0):
+        want = np.exp(-C / eps)
+        assert np.max(np.abs(sk._gibbs_kernel(X, Y, eps) - want) / want) <= 1e-14
+
+
+def test_gibbs_kernel_in_a_stack_slot_is_a_lone_build():
+    X, Y = _supports(3, 300, 250, seed=80)
+    K = np.full((3, 300, 250), np.nan)
+    out = sk._gibbs_kernel(X, Y, 0.3, K[1])
+    assert np.shares_memory(out, K[1])
+    assert K[1].tobytes() == sk._gibbs_kernel(X, Y, 0.3).tobytes()
+    assert np.isnan(K[0]).all() and np.isnan(K[2]).all()
 
 
 # Maps the plain iteration needs on the pair below: f <- f_from(g_from(f))

@@ -169,9 +169,9 @@ def test_budget_run_out_inside_a_stack_matches_lone_solves():
 # when the first problem leaves would hold about 2 * count kernels there
 @pytest.mark.parametrize("count, n", [(13, 100), (2, 250)])
 def test_stack_memory_is_one_kernel_stack_and_one_build(count, n):
-    """The traced peak is the kernel stack, one kernel being built and one
-    cost slab, plus numpy's two ufunc buffers (``half_sq_cost``'s broadcast
-    subtract takes them) and 64 KiB for the stack's rows."""
+    """The traced peak is the kernel stack, each kernel built in its slot,
+    and one cost slab, plus numpy's two ufunc buffers (``_cost_slabs``'s
+    broadcast subtract takes them) and 64 KiB for the stack's rows."""
     Ps, Qs = _problems(count, n=n, m=n, seed=78)
     blocks = as_block(Ps) + as_block(Qs)
     tracemalloc.start()
@@ -182,7 +182,7 @@ def test_stack_memory_is_one_kernel_stack_and_one_build(count, n):
         tracemalloc.stop()
     assert len(set(stacked.iterations.tolist())) > 1  # leaves at different maps
     slack = 2 * 8 * np.getbufsize() + (64 << 10)
-    assert peak <= (count + 1) * n * n * 8 + 8 * sk._COST_SLAB_ENTRIES + slack
+    assert peak <= count * n * n * 8 + 8 * sk._COST_SLAB_ENTRIES + slack
 
 
 def test_stack_of_one_is_solve():
@@ -250,7 +250,6 @@ def test_stack_on_supports_of_their_own_builds_a_kernel_each(monkeypatch):
     Qs = [Qs[0]] * 4  # one shared support is not enough
     kernels = []
     build = sk._gibbs_kernel
-    monkeypatch.setattr(sk, "_gibbs_kernel",
-                        lambda X, Y, eps: kernels.append(1) or build(X, Y, eps))
+    monkeypatch.setattr(sk, "_gibbs_kernel", lambda *args: kernels.append(1) or build(*args))
     _check_stack(Ps, Qs, SolverConfig(eps=0.5))
     assert len(kernels) == 4 + 4  # the stack's, then the lone solves'
