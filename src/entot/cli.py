@@ -9,6 +9,7 @@ values round-trip bit for bit.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -202,6 +203,12 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # every command's --out is checked before anything is solved; an
+        # existing file is opened to append, so it keeps its bytes
+        if args.out and os.path.exists(args.out):
+            open(args.out, "a", encoding="utf-8").close()
+        elif args.out and not os.access(os.path.dirname(args.out) or ".", os.W_OK | os.X_OK):
+            raise OSError(f"cannot write {args.out}: no writable directory")
         return args.handler(args)
     except NotConverged as exc:
         print(f"entot: not converged: {exc}", file=sys.stderr)

@@ -12,32 +12,36 @@ builds the kind's statistic once per row, and hands the row's replicates to
 it in chunks, in cell and replicate order. A chunk may run across the cells
 of a row whose replicates' transport operators have one shape (``_KINDS``):
 every rate cell with n at least the population's size, while coverage cells
-of different n keep chunks of their own. A statistic maps a chunk (one
-stream and one n per replicate) to one tuple of values per replicate, None
-for a replicate whose solve did not converge. It keeps the chunk as arrays
-from the draw to its values: it draws the chunk's samples as one block of
-measures (``_drawn``), points ``(R, n, d)`` or one support shared by every
-row, and weights ``(R, n)``; it solves their transport problems as one stack
+of different n keep chunks of their own. A statistic maps a chunk (one stream
+and one n per replicate) to ``(values, converged)``: an ``(R, k)`` array with
+one row per replicate and one column per value, and the mask of the
+replicates whose solves converged. It keeps the chunk as arrays from the draw
+to its values: it draws the chunk's samples as one block of measures
+(``_drawn``), points ``(R, n, d)`` or one support shared by every row, and
+weights ``(R, n)``; it solves their transport problems as one stack
 (``sinkhorn._solve_stack``), whose record holds one row per problem; and it
-reduces the record's rows to values, with its converged mask for None. So
-small problems share each draw's and each half-step's numpy calls, and each
-replicate's values are those of a lone run bit for bit. The rate kinds draw
-an empirical measure of n points from a population of at most n atoms on the
-population's own atoms, with count weights (``_empirical``), so a stack of
-their problems shares one support and one Gibbs kernel of the population's
-size. A chunk holds as many replicates as ``_CHUNK_ENTRIES`` entries hold of
-their largest transport operators, or of their solver state, whichever is
-larger. A cell whose replicates' largest transport operator has at least
-``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out to a
-thread pool of at most one worker per usable CPU, and of no more workers than
-``_WORKER_BYTES`` hold of the run's largest operator (as float64, and at most
-``sinkhorn.DENSE_ENTRY_LIMIT`` entries of it); smaller replicates are
+reduces the record's rows to values, with its converged mask. So small
+problems share each draw's and each half-step's numpy calls, and each
+converged replicate's values are those of a lone run bit for bit. The rate
+kinds draw an empirical measure of n points from a population of at most n
+atoms on the population's own atoms, with count weights (``_empirical``), so
+a stack of their problems shares one support and one Gibbs kernel of the
+population's size. A chunk holds as many replicates as ``_CHUNK_ENTRIES``
+entries hold of their largest transport operators, or of their solver state,
+whichever is larger. A cell whose replicates' largest transport operator has
+at least ``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out
+to a thread pool of at most one worker per usable CPU, and of no more workers
+than ``_WORKER_BYTES`` hold of the run's largest operator (as float64, and at
+most ``sinkhorn.DENSE_ENTRY_LIMIT`` entries of it); smaller replicates are
 mostly GIL-held numpy calls on short vectors, so their cells run in the
 calling thread, where a second thread would only slow them down. No chunk
-size or thread count changes an output byte. Two reductions turn the loop's
-output into results: coverage cells (hit rate and mean half-width) and rate
-curves (one curve per tuple position, with a log-log slope fit). A new
-experiment kind is one statistic plus one reduction.
+size or thread count changes an output byte. The loop joins the chunks' rows
+into one ``(cells, replicates, k)`` block and mask, cells in
+``itertools.product(dims, eps_list, n_list)`` order, and two reductions turn
+them into results: coverage cells (hit rate and mean half-width) and rate
+curves (one curve per value column, with a log-log slope fit), each over a
+cell's converged rows. A new experiment kind is one statistic plus one
+reduction.
 """
 
 from __future__ import annotations
@@ -154,9 +158,8 @@ class ExperimentConfig:
     q_file: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        for key, conv in (("dims", int), ("eps_list", float), ("n_list", int)):
+            object.__setattr__(self, key, tuple(conv(v) for v in getattr(self, key)))
         if not self.dims or not self.eps_list or not self.n_list:
             raise ConfigError("dims, eps_list, and n_list must be nonempty")
         if any(d < 1 for d in self.dims):
@@ -165,6 +168,9 @@ class ExperimentConfig:
             raise ConfigError("eps values must be positive and finite")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("sample sizes must be >= 1")
+        # each (d, eps, n) names one cell of the emitted tables
+        if any(len(set(v)) < len(v) for v in (self.dims, self.eps_list, self.n_list)):
+            raise ConfigError("dims, eps_list and n_list must repeat no value")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -320,14 +326,9 @@ def _scenario_for(cfg: ExperimentConfig):
 
 # ---------------------------------------------------------------------------
 # statistics: (scenario, d, solver) -> stat; stat maps (streams, ns), one
-# stream and one sample size per replicate, to one tuple, or None, per stream
-
-
-def _tuples(columns, converged) -> list:
-    """Per replicate, its entries of ``columns`` as one tuple, or None where
-    ``converged`` is False (where a lone solve raises NotConverged)."""
-    rows = zip(*(column.tolist() for column in columns))
-    return [row if ok else None for row, ok in zip(rows, converged.tolist())]
+# stream and one sample size per replicate, to (values, converged): an (R, k)
+# array of values and the mask of the rows whose solves converged (where a
+# lone solve does not raise NotConverged)
 
 
 def _drawn(draw, streams, ns) -> tuple:
@@ -374,7 +375,7 @@ def _coverage_statistic(scenario, d: int, solver: SolverConfig):
         (X, a), (Y, b) = (_drawn(draw, streams, ns) for draw in scenario.samplers(d))
         centers, half_widths, converged = _ci_two_sample_stack(X, a, Y, b, solver, alpha)
         hits = (centers - half_widths <= truth) & (truth <= centers + half_widths)
-        return _tuples((hits.astype(int), half_widths), converged)
+        return np.stack((hits, half_widths), axis=1, dtype=np.float64), converged
 
     return stat
 
@@ -387,7 +388,7 @@ def _bias_statistic(scenario, d: int, solver: SolverConfig):
     def stat(streams, ns):
         solved = _solve_stack(*_drawn(partial(_empirical, P), streams, ns),
                               Q.points, Q.weights, solver)
-        return _tuples((solved.cost - truth,), solved.converged)
+        return (solved.cost - truth)[:, None], solved.converged
 
     return stat
 
@@ -438,9 +439,10 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
         kept = solved.converged
         _, g = _shift(solved.f[kept], solved.g[kept], a[kept], Q.weights,
                       Normalization.ZERO_G_MEAN)
-        values = iter([v for start in range(0, len(g), group)
-                       for v in holder_terms(g[start:start + group])])
-        return [next(values) if ok else None for ok in kept.tolist()]
+        values, rows = np.full((len(streams), 2), np.nan), np.flatnonzero(kept)
+        for start in range(0, len(g), group):
+            values[rows[start:start + group]] = holder_terms(g[start:start + group])
+        return values, kept
 
     return stat
 
@@ -459,27 +461,29 @@ def _divergence_statistic(scenario, d: int, solver: SolverConfig):
         (X, a), (X2, a2) = (_drawn(partial(_empirical, P), streams, ns) for _ in range(2))
         nn, np_, s22, s12 = (_solve_stack(*problem, solver) for problem in (
             (X, a, X, a), (X, a, P.points, P.weights), (X2, a2, X2, a2), (X, a, X2, a2)))
-        return _tuples((np_.cost - 0.5 * (nn.cost + s_pop_self),
-                        s12.cost - 0.5 * (nn.cost + s22.cost)),
-                       nn.converged & np_.converged & s22.converged & s12.converged)
+        return (np.stack((np_.cost - 0.5 * (nn.cost + s_pop_self),
+                          s12.cost - 0.5 * (nn.cost + s22.cost)), axis=1),
+                nn.converged & np_.converged & s22.converged & s12.converged)
 
     return stat
 
 
 # ---------------------------------------------------------------------------
-# reductions over _run's [((d, eps, n), outcomes)] list
+# reductions over _run's (cells, replicates, k) values and their converged
+# mask; each reduces a cell's column j over its converged rows as the 1-D copy
+# v[ok, j], since a mean along an axis of a 2-D block sums in another order
 
 
-def _coverage_result(cfg, scenario, cells) -> CoverageResult:
+def _coverage_result(cfg, scenario, values, converged) -> CoverageResult:
     out = []
-    for (d, eps, n), outcomes in cells:
-        kept = [o for o in outcomes if o is not None]
-        hits = sum(o[0] for o in kept)
+    cells = itertools.product(cfg.dims, cfg.eps_list, cfg.n_list)
+    for (d, eps, n), v, ok in zip(cells, values, converged):
+        kept, hits = int(np.count_nonzero(ok)), int(np.count_nonzero(v[ok, 0]))
         out.append(CoverageCell(
-            d=d, eps=eps, n=n, hits=hits, evaluated=len(kept),
-            excluded=len(outcomes) - len(kept), attempted=len(outcomes),
-            coverage=hits / len(kept) if kept else math.nan,
-            mean_half_width=float(np.mean([o[1] for o in kept])) if kept else math.nan,
+            d=d, eps=eps, n=n, hits=hits, evaluated=kept,
+            excluded=len(ok) - kept, attempted=len(ok),
+            coverage=hits / kept if kept else math.nan,
+            mean_half_width=float(np.mean(v[ok, 1])) if kept else math.nan,
         ))
     return CoverageResult(kind=cfg.kind, config=cfg, cells=tuple(out),
                           populations=scenario.populations())
@@ -505,26 +509,24 @@ def _fit_loglog(ns, means):
     return slope, se, float(intercept)
 
 
-def _rate_result(cfg, scenario, cells, labels) -> RateResult:
-    """One curve per (d, eps, label); tuple position j feeds labels[j]."""
-    by_cell = dict(cells)
+def _rate_result(cfg, scenario, values, converged, labels) -> RateResult:
+    """One curve per (d, eps, label); value column j feeds labels[j]."""
+    rows = (len(cfg.dims) * len(cfg.eps_list), len(cfg.n_list), cfg.replicates)
     curves = []
-    for d in cfg.dims:
-        for eps in cfg.eps_list:
-            for j, label in enumerate(labels):
-                points = []
-                for n in cfg.n_list:
-                    outcomes = by_cell[d, eps, n]
-                    kept = np.asarray([o[j] for o in outcomes if o is not None],
-                                      dtype=np.float64)
-                    points.append(RatePoint(
-                        n=n, mean=float(kept.mean()) if kept.size else math.nan,
-                        sd=float(kept.std(ddof=1)) if kept.size > 1 else 0.0,
-                        evaluated=kept.size, excluded=len(outcomes) - kept.size,
-                    ))
-                slope, se, intercept = _fit_loglog(cfg.n_list, [p.mean for p in points])
-                curves.append(RateCurve(label=label, d=d, eps=eps, points=tuple(points),
-                                        slope=slope, slope_se=se, intercept=intercept))
+    for (d, eps), v, ok in zip(itertools.product(cfg.dims, cfg.eps_list),
+                               values.reshape(*rows, -1), converged.reshape(rows)):
+        for j, label in enumerate(labels):
+            points = []
+            for n, v_n, ok_n in zip(cfg.n_list, v, ok):
+                kept = v_n[ok_n, j]
+                points.append(RatePoint(
+                    n=n, mean=float(kept.mean()) if kept.size else math.nan,
+                    sd=float(kept.std(ddof=1)) if kept.size > 1 else 0.0,
+                    evaluated=kept.size, excluded=len(ok_n) - kept.size,
+                ))
+            slope, se, intercept = _fit_loglog(cfg.n_list, [p.mean for p in points])
+            curves.append(RateCurve(label=label, d=d, eps=eps, points=tuple(points),
+                                    slope=slope, slope_se=se, intercept=intercept))
     return RateResult(kind=cfg.kind, config=cfg, curves=tuple(curves),
                       populations=scenario.populations())
 
@@ -580,7 +582,7 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
     workers = min(cpus if threads is None else threads, cfg.replicates, cpus,
                   max(1, _WORKER_BYTES // (8 * min(largest, sinkhorn.DENSE_ENTRY_LIMIT))))
     reps = cfg.replicates
-    cells = []
+    outcomes = []  # each chunk's (values, converged), in cell and replicate order
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         # one statistic per (d, eps) row; one chunking per run of the row's
         # cells whose operators have one shape
@@ -590,7 +592,6 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
             stat = statistic(scenario, d, replace(cfg.solver, eps=eps))
             for shape, run in itertools.groupby(
                     row, key=lambda cell, d=d: operator_shape(scenario, d, cell[1][2])):
-                run = list(run)
                 entries = math.prod(shape)
                 if entries >= _POOL_MIN_ENTRIES:
                     size, fan_out = 1, map if pool is None else pool.map
@@ -604,12 +605,13 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
                                  for index, _, r in chunk], [n for _, n, _ in chunk])
 
                 chunks = [jobs[start:start + size] for start in range(0, len(jobs), size)]
-                outcomes = [o for out in fan_out(run_chunk, chunks) for o in out]
-                cells += [(cell, outcomes[k * reps:(k + 1) * reps])
-                          for k, (_, cell) in enumerate(run)]
+                outcomes += fan_out(run_chunk, chunks)
+    # (cells, replicates, k) values and a (cells, replicates) mask
+    values, converged = (np.concatenate(part).reshape(-1, reps, *part[0].shape[1:])
+                         for part in zip(*outcomes))
     if labels is None:
-        return _coverage_result(cfg, scenario, cells)
-    return _rate_result(cfg, scenario, cells, labels)
+        return _coverage_result(cfg, scenario, values, converged)
+    return _rate_result(cfg, scenario, values, converged, labels)
 
 
 def run_coverage(cfg: ExperimentConfig, threads: int | None = None) -> CoverageResult:

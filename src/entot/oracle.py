@@ -53,6 +53,7 @@ def brute_force_potentials(P: DiscreteMeasure, Q: DiscreteMeasure, eps: float,
     increment (sup norm, divided by eps) is at most ``tol``; the returned
     pair is shifted to equal means.
     """
+    _check_eps(eps)
     n, m = P.n, Q.n
     if n * m > 100:
         raise ValueError("brute force is restricted to n*m <= 100")

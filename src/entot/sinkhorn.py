@@ -32,10 +32,11 @@ one row per problem, or one ``(n, d)`` support shared by all, and weights
 over the stacked kernels, or over the one kernel of a stack whose two
 supports are shared (and of a stack of one), which gives every problem the
 sums of its own call, while each problem keeps its own history, residual and
-map count. A problem's pair is copied out at the map where it meets tol; it
-keeps its row, and no longer moves, until the stack is done. The stack
-returns one record of arrays (:class:`_Solved`), whose row r is what a lone
-solve of problem r returns, bit for bit, and :func:`solve` is a stack of one.
+map count. A problem that meets tol keeps its point, which no longer moves,
+so the stack's last map gives its pair bit for bit as the map where it met
+tol did. The stack returns one record of arrays (:class:`_Solved`), whose
+row r is what a lone solve of problem r returns, bit for bit, and
+:func:`solve` is a stack of one.
 Only a lone problem leaves its kernel; a stack that would leave its kernels
 is solved again one problem at a time.
 """
@@ -446,7 +447,9 @@ def solve(P: DiscreteMeasure, Q: DiscreteMeasure, cfg: SolverConfig):
 
 class _Solved(NamedTuple):
     """:func:`_solve_stack`'s results, one entry or row per problem: what
-    :func:`solve` returns or raises for it, as arrays (:func:`_row_result`)."""
+    :func:`solve` returns or raises for it, as arrays (:func:`_row_result`),
+    read off the stack's last map: a problem's row is that of the map where
+    it met tol or ran out of maps, as it has not moved since."""
 
     f: np.ndarray  # (R, n): the pairs, normalized to equal means
     g: np.ndarray  # (R, m)
@@ -477,12 +480,12 @@ def _solve_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
 
     The problems share their sizes. Each keeps its own history, residual and
     map count, and row r of every array is problem r's alone: the Grams of
-    all mixing problems are solved as one batch, each its own system. At the
-    map where a problem meets tol its pair is copied out; from then on its
-    point no longer moves, so its later maps repeat its last one bit for bit
-    and its row of the record is that of a lone :func:`solve`, path and
-    :class:`NotConverged` included. A stack of more than one that would leave
-    its kernels is solved again one problem at a time.
+    all mixing problems are solved as one batch, each its own system. From
+    the map where a problem meets tol its point no longer moves, so its later
+    maps repeat that one bit for bit; the record is read off the last map,
+    and its row is that of a lone :func:`solve`, path and
+    :class:`NotConverged` included. A stack of more than one that would
+    leave its kernels is solved again one problem at a time.
     """
     try:
         return _sweep_stack(X, a, Y, b, cfg)
@@ -512,7 +515,10 @@ _KEEP = 1 - 1e-9
 
 
 def _sweep_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
-    """The map loop of :func:`_solve_stack`; raises :class:`_Unstackable`."""
+    """The map loop of :func:`_solve_stack`; raises :class:`_Unstackable`.
+    It ends at the map where the last problem leaves, and reads every pair,
+    residual and dual value off that map's point ``x`` and its images ``g``
+    and ``tx``."""
     upd = _Updates(X, a, Y, b, cfg.eps)
     eps, count = cfg.eps, len(upd.a)
     x = np.zeros(upd.a.shape)  # the points mapped next
@@ -524,8 +530,7 @@ def _sweep_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
     recording = [False] * count  # whether the next kept point adds a difference
     mixed = [False] * count  # whether x is a mixed point
     best = [math.inf] * count  # smallest residual so far
-    maps, residuals = [None] * count, [None] * count
-    F, G, F_hat = np.empty_like(x), np.empty(upd.b.shape), np.empty_like(x)
+    maps = [None] * count  # the map each problem left at
     unweighted = upd.a == 0  # the atoms of P that do not enter g_from
     for iterations in range(1, cfg.max_iter + 1):
         g = upd.g_from(x)
@@ -542,6 +547,7 @@ def _sweep_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
                 continue
             if res[i] <= cfg.tol or iterations == cfg.max_iter:
                 leave.append(i)
+                maps[i] = iterations
             elif not mixed[i] or res[i] < best[i] * _KEEP:
                 keep.append(i)
                 if recording[i]:
@@ -553,10 +559,6 @@ def _sweep_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
                 dT[i] = dR[i] = 0.0
                 mixed[i] = recording[i] = False
         if leave:
-            F[leave] = np.where(unweighted, tx, x)[leave]
-            G[leave], F_hat[leave] = g[leave], tx[leave]
-            for i in leave:
-                maps[i], residuals[i] = iterations, res[i]
             if None not in maps:
                 break
             keep += leave  # a problem that left keeps its point
@@ -571,9 +573,11 @@ def _sweep_stack(X, a, Y, b, cfg: SolverConfig) -> _Solved:
             dR[:, _DEPTH] = r
             x = t.copy()
             x[rows] = _mixed(t[rows], dT[rows], dR[rows])
-    dual = _dual_values(upd, F, G, F_hat)
-    F, G = _shift(F, G, upd.a, upd.b, Normalization.EQUAL_MEANS)
-    residuals = np.array(residuals)
+    # a problem that left before the last map has not moved since: the last
+    # map's rows are its rows at the map it left at, bit for bit
+    F, residuals = np.where(unweighted, tx, x), np.array(res)
+    dual = _dual_values(upd, F, g, tx)
+    F, G = _shift(F, g, upd.a, upd.b, Normalization.EQUAL_MEANS)
     return _Solved(F, G, _dot(F, upd.a) + _dot(G, upd.b), np.array(maps), residuals, dual,
                    np.full(count, upd.path), residuals <= cfg.tol)
 
@@ -689,6 +693,7 @@ def primal_cost(P: DiscreteMeasure, Q: DiscreteMeasure, transport: TransportPlan
     over row slabs of the plan, each against its own cost slab
     (:func:`_cost_slabs`), so memory is the plan plus two slabs.
     """
+    _check_eps(eps)
     pi = transport.entries
     if pi.shape != (P.n, Q.n):
         raise DimensionMismatch(

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +234,41 @@ def test_emit_to_missing_directory_exits_four(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "cov.csv"
     assert cli.run(["coverage", "--config", str(cfg_path), "--out", str(out),
                     "--threads", "1"]) == 4
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["solve", "cost", "divergence", "ci", "coverage", "rate"])
+def test_unwritable_out_exits_four_before_any_solve(command, random_files, tmp_path, capsys,
+                                                    monkeypatch):
+    from entot import harness as hz
+    for module in (sk, hz, inf):
+        monkeypatch.setattr(module, "_solve_stack", lambda *a, **k: pytest.fail("solved"))
+    if command == "coverage":
+        _write_coverage_config(tmp_path / "cov.txt")
+        inputs = ["--config", str(tmp_path / "cov.txt")]
+    elif command == "rate":
+        inputs = ["--config", str(Path(__file__).parents[1] / "configs" / "bias_rate_desk.txt")]
+    else:
+        inputs = ["--p", random_files[0], "--q", random_files[1], "--eps", "2"]
+    out = tmp_path / "no" / "such" / "dir" / "out.csv"
+    assert cli.run([command, *inputs, "--out", str(out)]) == 4
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_out_check_leaves_an_existing_file_as_it_is(tmp_path, capsys):
+    # the solve runs out of maps (exit 3) after --out passed its check
+    stream = ms.SeedSpec(99, 0).stream()
+    p, q, out = tmp_path / "p.csv", tmp_path / "q.csv", tmp_path / "out.csv"
+    ms.write_measure(ms.uniform_on(stream.uniforms(8).reshape(4, 2)), p)
+    ms.write_measure(ms.uniform_on(stream.uniforms(8).reshape(4, 2)), q)
+    out.write_bytes(b"kept\n")
+    assert cli.run(["solve", "--p", str(p), "--q", str(q), "--eps", "0.05",
+                    "--max-iter", "1", "--out", str(out)]) == 3
+    assert out.read_bytes() == b"kept\n"
+    assert cli.run(["solve", "--p", str(p), "--q", str(q), "--eps", "0.05",
+                    "--max-iter", "1", "--out", str(tmp_path / "new.csv")]) == 3
+    assert not (tmp_path / "new.csv").exists()  # the check creates no file
     capsys.readouterr()
 
 

@@ -96,7 +96,9 @@ def test_rate_values_on_count_weights_are_those_of_the_drawn_atoms(PQ, n, seed, 
     # atoms; as differences of costs they agree to 1e-12 of those costs
     truth = _cost(P, Q, cfg)
     scenario = SimpleNamespace(pair=lambda d: (P, Q), truth=lambda d, eps: truth)
-    [(bias,)] = hz._bias_statistic(scenario, P.dim, cfg)([ms.SplitMix64(seed)], [n])
+    values, converged = hz._bias_statistic(scenario, P.dim, cfg)([ms.SplitMix64(seed)], [n])
+    assert converged.tolist() == [True]
+    [[bias]] = values.tolist()
     assert _close(bias, cost_d - truth, max(abs(cost_d), abs(truth)), eps)
 
     stream = ms.SplitMix64(seed)
@@ -104,7 +106,10 @@ def test_rate_values_on_count_weights_are_those_of_the_drawn_atoms(PQ, n, seed, 
     c = {name: _cost(X, Y, cfg) for name, (X, Y) in {
         "nn": (P_n, P_n), "np": (P_n, P), "pp": (P, P), "22": (P2_n, P2_n),
         "12": (P_n, P2_n)}.items()}
-    [(one, two)] = hz._divergence_statistic(scenario, P.dim, cfg)([ms.SplitMix64(seed)], [n])
+    values, converged = hz._divergence_statistic(scenario, P.dim, cfg)(
+        [ms.SplitMix64(seed)], [n])
+    assert converged.tolist() == [True]
+    [[one, two]] = values.tolist()
     scale = max(map(abs, c.values()))
     assert _close(one, c["np"] - 0.5 * (c["nn"] + c["pp"]), scale, eps)
     assert _close(two, c["12"] - 0.5 * (c["nn"] + c["22"]), scale, eps)

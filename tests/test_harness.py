@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entot import harness as hz
+from entot import inference as inf
 from entot import measures as ms
 from entot import potentials as pot
 from entot import sinkhorn as sk
@@ -114,10 +115,22 @@ def test_experiment_config_validation():
     for eps_list in ((0.0,), (1.0, float("nan")), (float("inf"),)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**{**base, "eps_list": eps_list})
-    # coverage runs may repeat n values
-    ExperimentConfig(**{**base, "kind": ExperimentKind.COVERAGE,
-                        "scenario": ScenarioKind.GAUSSIAN_PAIR,
-                        "n_list": (10, 10)})
+    # coverage runs may list n values in any order, but repeat none
+    coverage = {**base, "kind": ExperimentKind.COVERAGE, "scenario": ScenarioKind.GAUSSIAN_PAIR}
+    ExperimentConfig(**{**coverage, "n_list": (20, 10)})
+    with pytest.raises(ConfigError, match="repeat no value"):
+        ExperimentConfig(**{**coverage, "n_list": (10, 20, 10)})
+
+
+# the csv renderers key a cell by (d, eps, n), so a repeated value would print
+# one cell's numbers for two cells
+@pytest.mark.parametrize("key, values", [("dims", "2, 3, 2"), ("eps_list", "2, 5, 2.0"),
+                                         ("n_list", "30, 60, 30")],
+                         ids=["dims", "eps_list", "n_list"])
+def test_repeated_values_of_a_cell_key_are_rejected(key, values):
+    line = next(row for row in CONFIG_TEXT.splitlines() if row.startswith(key + " "))
+    with pytest.raises(ConfigError, match="repeat no value"):
+        hz.parse_config(CONFIG_TEXT.replace(line, f"{key} = {values}"))
 
 
 def test_sample_coordinates_are_bounded_at_the_config():
@@ -498,6 +511,77 @@ def test_excluded_replicates_are_counted():
     assert "nan" in text
 
 
+def _map_counts(monkeypatch, stat, streams, ns):
+    """Per replicate of a chunk, the most maps any of its solves took."""
+    counts = []
+
+    def spy(*problem):
+        solved = sk._solve_stack(*problem)
+        counts.append(solved.iterations)
+        return solved
+
+    with monkeypatch.context() as m:
+        for module in (hz, inf):
+            m.setattr(module, "_solve_stack", spy)
+        stat(streams, ns)
+    return np.max(counts, axis=0)
+
+
+@pytest.mark.parametrize("kind", ExperimentKind, ids=lambda k: k.value)
+def test_chunks_in_which_only_some_replicates_converge(monkeypatch, kind):
+    # one cell, one chunk, and a map budget between its replicates' smallest
+    # and largest map counts: the converged rows are their lone runs' bit for
+    # bit, and the cell's reductions read those rows only
+    if kind is ExperimentKind.COVERAGE:
+        cfg = replace(_tiny_coverage(replicates=8), eps_list=(0.5,), solver=SolverConfig(eps=0.5))
+    else:  # 5 or 6 maps a replicate
+        cfg = replace(_tiny_rate(kind, 2), n_list=(20,), replicates=8,
+                      solver=SolverConfig(eps=1.0, tol=1e-13))
+    (d,), (n,), reps = cfg.dims, cfg.n_list, cfg.replicates
+    statistic, scenario = hz._KINDS[kind][0], hz._scenario_for(cfg)
+
+    def streams():  # the cell's, as _run derives them
+        return [ms.SplitMix64(ms.derived_seed(cfg.seed, 0, r)) for r in range(reps)]
+
+    maps = _map_counts(monkeypatch, statistic(scenario, d, cfg.solver), streams(), [n] * reps)
+    budget = int(np.median(maps))
+    cfg = replace(cfg, solver=replace(cfg.solver, max_iter=budget))
+    stat = statistic(scenario, d, cfg.solver)
+    values, converged = stat(streams(), [n] * reps)
+    assert converged.tolist() == (maps <= budget).tolist()
+    assert 2 <= np.count_nonzero(converged) < reps
+    for stream, row, ok in zip(streams(), values.tolist(), converged.tolist()):
+        lone, lone_ok = stat([stream], [n])
+        assert lone_ok.tolist() == [ok]
+        if ok:
+            assert lone.tolist() == [row]
+
+    chunks = []
+
+    def record(stat, streams, ns):
+        chunks.append(len(streams))
+        return stat(streams, ns)
+
+    _spy_statistic(monkeypatch, kind, record)
+    result = hz.run_experiment(cfg, threads=1)
+    assert chunks == [reps]
+    kept = [row for row, ok in zip(values.tolist(), converged.tolist()) if ok]
+    columns = [np.array(column) for column in zip(*kept)]  # contiguous, as reduced
+    counts = (len(kept), reps - len(kept))
+    if kind is ExperimentKind.COVERAGE:
+        [cell] = result.cells
+        assert (cell.evaluated, cell.excluded, cell.attempted) == (*counts, reps)
+        assert cell.hits == int(columns[0].sum()) and cell.coverage == cell.hits / len(kept)
+        assert cell.mean_half_width == float(np.mean(columns[1]))
+    else:
+        assert len(result.curves) == len(columns)
+        for curve, column in zip(result.curves, columns):
+            [point] = curve.points
+            assert (point.evaluated, point.excluded) == counts
+            assert point.mean == float(column.mean())
+            assert point.sd == float(column.std(ddof=1))
+
+
 def test_coverage_discrete_scenario_covers_tight_truth():
     # default generated 10-atom populations; truth from the tight solve
     cfg = ExperimentConfig(
@@ -595,6 +679,14 @@ def test_potential_rate_smoke():
         assert np.isfinite(curve.slope)
 
 
+def _converged_rows(stat, seeds, n) -> list:
+    """The value rows of a chunk of one stream per seed, all at n, each as a
+    list of floats; every replicate of the chunk must converge."""
+    values, converged = stat([ms.SplitMix64(seed) for seed in seeds], [n] * len(seeds))
+    assert values.shape[0] == len(seeds) and converged.all()
+    return values.tolist()
+
+
 def test_potential_statistic_matches_holder_norm_bit_for_bit():
     # f*'s grid tables are evaluated once per (d, eps) and shared by the
     # replicates; each replicate must read what holder_norm gives for it.
@@ -615,14 +707,14 @@ def test_potential_statistic_matches_holder_norm_bit_for_bit():
             pair = sk.normalize(pair, P_n, Q, Normalization.ZERO_G_MEAN)
             delta = pot.PotentialDifference(pot.f_extension(pair, Q), f_star)
             est = pot.holder_norm(delta, order, grid)
-            assert stat([ms.SplitMix64(seed)], [n]) == [(est.value**2, est.order_terms[0] ** 2)]
+            assert _converged_rows(stat, [seed], n) == [[est.value**2, est.order_terms[0] ** 2]]
         # a chunk of replicates gives each one's lone value, also when every
         # kernel sum underflows and the stack of extensions redoes each alone
         for floor in (sk._KERNEL_FLOOR, np.inf):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(sk, "_KERNEL_FLOOR", floor)
-                chunk = stat([ms.SplitMix64(seed) for seed in seeds], [n] * len(seeds))
-                assert chunk == [stat([ms.SplitMix64(seed)], [n])[0] for seed in seeds]
+                chunk = _converged_rows(stat, seeds, n)
+                assert chunk == [_converged_rows(stat, [seed], n)[0] for seed in seeds]
 
 
 def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
@@ -643,10 +735,10 @@ def test_potential_statistic_shares_a_read_only_grid_kernel(monkeypatch):
     assert K.shape == (41 * 41, 10) and M.shape == (10, 5)
     assert not K.flags.writeable and not M.flags.writeable
     before = K.copy(), M.copy()
-    [kernel] = stat([ms.SplitMix64(7)], [50])
+    [kernel] = _converged_rows(stat, [7], 50)
     with monkeypatch.context() as m:
         m.setattr(sk, "_KERNEL_FLOOR", np.inf)
-        [log] = stat([ms.SplitMix64(7)], [50])
+        [log] = _converged_rows(stat, [7], 50)
     assert log == pytest.approx(kernel, rel=1e-12)
     assert np.array_equal(K, before[0]) and np.array_equal(M, before[1])
 

@@ -6,7 +6,7 @@ import pytest
 from entot import measures as ms
 from entot import oracle as orc
 from entot import sinkhorn as sk
-from entot.errors import NotConverged, UnsupportedOrder
+from entot.errors import NonPositiveEps, NotConverged, UnsupportedOrder
 from entot.oracle import GaussianPairSpec
 from entot.sinkhorn import SolverConfig
 
@@ -87,6 +87,14 @@ def test_brute_force_iteration_cap():
     Q = ms.uniform_on(np.array([[0.25], [0.75]]))
     with pytest.raises(NotConverged):
         orc.brute_force_potentials(P, Q, 0.05, max_iter=1)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+def test_brute_force_rejects_non_positive_eps(eps):
+    # checked on entry, before the fixed-point loop divides by eps
+    P = ms.uniform_on(np.array([[0.0], [1.0]]))
+    with pytest.raises(NonPositiveEps):
+        orc.brute_force_potentials(P, P, eps)
 
 
 def test_finite_difference_quadratic():

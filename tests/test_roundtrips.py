@@ -38,17 +38,18 @@ def _config_values(draw):
     kind = draw(st.sampled_from(ExperimentKind))
     # A sample (n or atoms points in the largest dimension) fits the entry
     # limit, the default of 10 atoms too.
-    dims = draw(st.lists(st.integers(1, DENSE_ENTRY_LIMIT // 10), min_size=1))
+    # A cell key repeats no value.
+    dims = draw(st.lists(st.integers(1, DENSE_ENTRY_LIMIT // 10), min_size=1, unique=True))
     size = st.integers(1, DENSE_ENTRY_LIMIT // max(dims))
-    n_list = st.lists(size, min_size=1)
+    n_list = st.lists(size, min_size=1, unique=True)
     if kind is not ExperimentKind.COVERAGE:  # rate runs need increasing n
-        n_list = st.lists(size, min_size=1, unique=True).map(sorted)
+        n_list = n_list.map(sorted)
     scenario = draw(st.sampled_from(ScenarioKind))
     values = {
         "kind": kind,
         "scenario": scenario,
         "dims": dims,
-        "eps_list": draw(st.lists(_POSITIVE, min_size=1)),
+        "eps_list": draw(st.lists(_POSITIVE, min_size=1, unique=True)),
         "n_list": draw(n_list),
         "replicates": draw(_COUNT),
         "alpha": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),

@@ -8,7 +8,8 @@ import pytest
 from entot import measures as ms
 from entot import oracle as orc
 from entot import sinkhorn as sk
-from entot.errors import DimensionMismatch, NegativeEntry, NotConverged, NotOptimal
+from entot.errors import (DimensionMismatch, NegativeEntry, NonPositiveEps, NotConverged,
+                          NotOptimal)
 from entot.sinkhorn import Normalization, PotentialPair, SolverConfig
 
 from _util import SUITE_SEED, random_instance
@@ -180,6 +181,13 @@ def test_primal_cost_rejects_negative_entries():
     with pytest.raises(NegativeEntry):
         sk.primal_cost(P, Q, bad_plan, 1.0)
     assert sk.primal_cost(P, Q, good, 1.0) == pytest.approx(4.5)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), float("inf")])
+def test_primal_cost_rejects_non_positive_eps(eps):
+    P, Q = ms.dirac([0.0]), ms.dirac([3.0])
+    with pytest.raises(NonPositiveEps):
+        sk.primal_cost(P, Q, sk.TransportPlan(np.array([[1.0]])), eps)
 
 
 def test_normalize_equal_means():
