@@ -102,8 +102,8 @@ _WORKER_BYTES = 1 << 30
 # many entries (1 MB of float64) of their largest transport operators, and of
 # their solver state (_STATE_ROWS), and a chunk of same-shaped operators may
 # span the cells of its (d, eps) row. A chunk's operator peak is its kernels
-# plus one cost slab (sinkhorn._COST_SLAB_ENTRIES), since each kernel is
-# built in its slot of the stack. A chunk's draws come in blocks (_drawn),
+# plus one build's temporaries (a cost slab, or (n + m)(d + 2) entries), as
+# each kernel is built in its slot. A chunk's draws come in blocks (_drawn),
 # and the potential-rate statistic evaluates its extensions in stacks, that
 # each fit this budget. On a 2-vCPU VM, 100 x 100 coverage intervals at eps =
 # 2 took 0.87 ms each in chunks of 13, against 1.50 ms one at a time; 250 x

@@ -5,10 +5,10 @@ points. ``DENSE_ENTRY_LIMIT`` bounds the largest array the library holds,
 and is read at call time. Up to that many entries a solve holds one dense
 operator: the Gibbs kernel ``K = exp(-C/eps)``, on which a half-step is one
 matrix-vector product of max-shifted scalings. A kernel is built in place
-(``_gibbs_kernel``): each cost slab is scaled by ``-1/(2 eps)`` and
-exponentiated while it is in cache, straight into the kernel's rows, so the
-entries are those of ``exp(-half_sq_cost/eps)`` bit for bit at a
-power-of-two eps and within a few ulps of the exponent's argument otherwise.
+(``_gibbs_kernel``), one cache-resident row slab at a time: one ``einsum`` of
+centred coordinates augmented by their half squared norms, within a stated
+relative bound, or for a kernel of one slab, or supports too spread for that
+bound (``_GRAM_LIMIT``), the per-axis cost slabs; each is exponentiated.
 When a kernel row or column sum falls below ``_KERNEL_FLOOR`` (``K`` has
 underflowed where it matters), the solve drops the kernel and runs that
 half-step, and every later one, as a blocked solve does. Above the limit
@@ -70,6 +70,11 @@ _KERNEL_FLOOR = 1e-200
 # among 16K-256K entries from 1681 x 10 to 5000 x 5000 costs; fixed 64-row
 # slabs cost skinny grids (m = 10) one numpy call per 640 entries.
 _COST_SLAB_ENTRIES = 1 << 15
+
+# _gibbs_kernel takes the Gram form up to this max hx + max hy: its rounding,
+# 3 (d + 3) u (1 + 256), stays below the difference build's worst case above
+# underflow, (d + 4) u 745, for d <= 25, and no entry is below exp(-512).
+_GRAM_LIMIT = 256.0
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -276,16 +281,36 @@ def _cost_slabs(X: np.ndarray, Y: np.ndarray, C: np.ndarray | None = None,
 
 def _gibbs_kernel(X: np.ndarray, Y: np.ndarray, eps: float, K: np.ndarray | None = None):
     """``exp(-C/eps)`` for the half squared cost C between the rows of X and
-    Y, written into ``K`` when it is given (an n x m array, such as a slot of
-    a kernel stack), else into a new array. Each slab of :func:`_cost_slabs`
-    is scaled by ``-0.5/eps`` and exponentiated while it is in cache, so the
-    only temporary is one slab. The entries are those of
-    ``exp(-half_sq_cost(X, Y)/eps)`` bit for bit when eps is a power of two;
-    otherwise the exponent's argument ``x`` differs by a few ulps, and an
-    entry by a few times ``|x|`` ulps, relative.
-    """
-    if K is None:
-        K = np.empty((X.shape[0], Y.shape[0]))
+    Y, into ``K`` when it is given (an n x m array, such as a stack slot),
+    else into a new array. With c the midpoint of the supports' means and
+    ``hx = |x - c|^2/(2 eps)``, ``hy`` alike, the columns
+    ``[(x - c)/eps; -hx; 1]`` of A and ``[y - c; 1; -hy]`` of B give
+    ``A^T B = -C/eps`` (the Gram form). Each row slab of about
+    ``_COST_SLAB_ENTRIES`` entries is one ``einsum`` of A and B (no BLAS),
+    exponentiated in cache; every entry is within
+    ``3 (d + 3) u (1 + max hx + max hy)`` of exact, relative (u = 2^-53).
+    A kernel of one slab or less, whose set-up the Gram form would not repay,
+    or with ``max hx + max hy > _GRAM_LIMIT``, exponentiates the slabs of
+    :func:`_cost_slabs` times ``-0.5/eps`` instead (the difference build), each
+    argument x within ``(d + 4) u |x|``; so do supports of other dimensions,
+    which :func:`_cost_slabs` refuses."""
+    (n, d), m = X.shape, Y.shape[0]
+    K = np.empty((n, m)) if K is None else K
+    if n * m > _COST_SLAB_ENTRIES and Y.shape[1] == d:
+        c = (X.sum(0) / n + Y.sum(0) / m) / 2
+        A, B = np.empty((d + 2, n)), np.empty((d + 2, m))
+        np.subtract(X.T, c[:, None], out=A[:d])
+        np.subtract(Y.T, c[:, None], out=B[:d])
+        A[d] = np.einsum("ki,ki->i", A[:d], A[:d]) / (-2 * eps)  # -hx
+        B[d + 1] = np.einsum("kj,kj->j", B[:d], B[:d]) / (-2 * eps)  # -hy
+        A[d + 1] = B[d] = 1.0
+        if -(A[d].min() + B[d + 1].min()) <= _GRAM_LIMIT:
+            A[:d] /= eps
+            rows = max(1, _COST_SLAB_ENTRIES // m)
+            for i in range(0, n, rows):
+                slab = np.einsum("ki,kj->ij", A[:, i:i + rows], B, out=K[i:i + rows])
+                np.exp(slab, out=slab)
+            return K
     for _, slab in _cost_slabs(X, Y, K, -0.5 / eps):
         np.exp(slab, out=slab)
     return K
@@ -306,7 +331,7 @@ class _Updates:
     one 2-d kernel when both supports are shared or the stack holds one
     problem, and runs a half-step as one kernel product over it; each kernel
     is built in its slot by :func:`_gibbs_kernel`, so the stack holds its
-    kernels and one cost slab, never a kernel's copy. Row r of a
+    kernels and one build's temporaries, never a kernel's copy. Row r of a
     half-step's argument and result belongs to problem r. Only a lone problem
     leaves its kernel (:func:`_kernel_soft_min`): above ``DENSE_ENTRY_LIMIT``
     entries, or from its first kernel sum below ``_KERNEL_FLOOR`` on, it

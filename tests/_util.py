@@ -100,3 +100,25 @@ def as_block(measures):
     points = [m.points for m in measures]
     shared = all(p is points[0] for p in points)
     return (points[0] if shared else np.stack(points)), np.stack([m.weights for m in measures])
+
+
+def exact_gibbs_kernel(X, Y, eps):
+    """``exp(-|x - y|^2/(2 eps))`` in 80-bit floats, for the float64 points
+    as given: a reference whose own rounding is far below a double's."""
+    X_hi, Y_hi = X.astype(np.longdouble), Y.astype(np.longdouble)
+    sq = np.sum((X_hi[:, None, :] - Y_hi[None, :, :]) ** 2, axis=-1)
+    return np.exp(-sq / (2 * np.longdouble(eps)))
+
+
+def gram_spread(X, Y, eps):
+    """``max hx + max hy`` of ``sinkhorn._gibbs_kernel``'s Gram form: the
+    largest half squared distances to the midpoint c of the two supports'
+    means, over eps."""
+    c = (X.sum(0) / len(X) + Y.sum(0) / len(Y)) / 2
+    return sum(np.max(np.sum((Z - c) ** 2, axis=1)) for Z in (X, Y)) / (2 * eps)
+
+
+def gram_bound(X, Y, eps):
+    """The relative error bound ``_gibbs_kernel`` documents for its Gram form:
+    ``3 (d + 3) u (1 + max hx + max hy)``, with u = 2^-53."""
+    return 3 * (X.shape[1] + 3) * 2.0 ** -53 * (1 + gram_spread(X, Y, eps))

@@ -12,7 +12,7 @@ from entot.errors import (DimensionMismatch, NegativeEntry, NonPositiveEps, NotC
                           NotOptimal)
 from entot.sinkhorn import Normalization, PotentialPair, SolverConfig
 
-from _util import SUITE_SEED, random_instance
+from _util import SUITE_SEED, exact_gibbs_kernel, gram_bound, gram_spread, random_instance
 
 
 def _dirac_pair(z=3.0, eps=1.0, tol=1e-12):
@@ -351,20 +351,24 @@ def _supports(d, n, m, seed):
     return stream.uniforms(n * d).reshape(n, d), stream.uniforms(m * d).reshape(m, d)
 
 
-# 30 x 40 is one cost slab; 300 x 250 is three of 131 rows (the last short)
+# 30 x 40 is one cost slab (the difference build); 300 x 250 is three of 131
+# rows (the last short), in the Gram form
 @pytest.mark.parametrize("n, m", [(30, 40), (300, 250)])
 @pytest.mark.parametrize("d", [1, 2, 7, 15])
 def test_gibbs_kernel_is_the_exp_of_the_half_cost(d, n, m):
-    # -0.5/eps is exact at a power-of-two eps, so the kernel has the bits of
-    # dividing the half cost by eps; otherwise the exponent's argument (at
-    # most 0.5 * d / eps = 25 on the unit cube) differs by a few ulps
+    # unit-cube supports keep max hx + max hy far below the Gram form's limit;
+    # every entry is within the documented bound of the exact kernel, and
+    # within 1e-14 of exp(-C/eps) in double precision (the exponent's
+    # argument is at most 0.5 * d / eps = 25 here)
     X, Y = _supports(d, n, m, seed=63 + d)
     C = sk.half_sq_cost(X, Y)
-    for eps in (0.5, 1.0, 2.0):
-        assert sk._gibbs_kernel(X, Y, eps).tobytes() == np.exp(-C / eps).tobytes()
-    for eps in (0.3, 5.0, 10.0):
+    for eps in (0.3, 0.5, 1.0, 2.0, 5.0, 10.0):
+        assert gram_spread(X, Y, eps) <= sk._GRAM_LIMIT
+        K = sk._gibbs_kernel(X, Y, eps)
+        exact = exact_gibbs_kernel(X, Y, eps)
+        assert np.max(np.abs(K - exact) / exact) <= gram_bound(X, Y, eps)
         want = np.exp(-C / eps)
-        assert np.max(np.abs(sk._gibbs_kernel(X, Y, eps) - want) / want) <= 1e-14
+        assert np.max(np.abs(K - want) / want) <= 1e-14
 
 
 def test_gibbs_kernel_in_a_stack_slot_is_a_lone_build():
