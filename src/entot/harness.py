@@ -8,35 +8,36 @@ replicate index), so every cell is independently reproducible and results
 are byte-identical across thread counts.
 
 One replicate loop runs every kind. It walks the (d, eps) rows of cells,
-builds the kind's statistic once per row, and hands the row's replicates to
-it in chunks, in cell and replicate order. A chunk may run across the cells
-of a row whose replicates' transport operators have one shape (``_KINDS``):
-every rate cell with n at least the population's size, while coverage cells
-of different n keep chunks of their own. A statistic maps a chunk (one stream
-and one n per replicate) to ``(values, converged)``: an ``(R, k)`` array with
-one row per replicate and one column per value, and the mask of the
-replicates whose solves converged. It keeps the chunk as arrays from the draw
-to its values: it draws the chunk's samples as one block of measures
-(``_drawn``), points ``(R, n, d)`` or one support shared by every row, and
-weights ``(R, n)``; it solves their transport problems as one stack
-(``sinkhorn._solve_stack``), whose record holds one row per problem; and it
-reduces the record's rows to values, with its converged mask. So small
-problems share each draw's and each half-step's numpy calls, and each
-converged replicate's values are those of a lone run bit for bit. The rate
-kinds draw an empirical measure of n points from a population of at most n
-atoms on the population's own atoms, with count weights (``_empirical``), so
-a stack of their problems shares one support and one Gibbs kernel of the
-population's size. A chunk holds as many replicates as ``_CHUNK_ENTRIES``
-entries hold of their largest transport operators, or of their solver state,
-whichever is larger. A cell whose replicates' largest transport operator has
-at least ``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out
-to a thread pool of at most one worker per usable CPU, and of no more workers
-than ``_WORKER_BYTES`` hold of the run's largest operator (as float64, and at
-most ``sinkhorn.DENSE_ENTRY_LIMIT`` entries of it); smaller replicates are
-mostly GIL-held numpy calls on short vectors, so their cells run in the
-calling thread, where a second thread would only slow them down. No chunk
-size or thread count changes an output byte. The loop joins the chunks' rows
-into one ``(cells, replicates, k)`` block and mask, cells in
+builds the kind's statistic once per row, and hands the row's replicates to it
+in chunks, in cell and replicate order. A chunk may run across the cells of a
+row whose replicates' transport operators have one shape (``_KINDS``): every
+rate cell with n at least the population's size, while coverage cells of
+different n keep chunks of their own. A statistic maps a chunk (one stream and
+one n per replicate) to ``(values, converged)``: an ``(R, k)`` array with one
+row per replicate and one column per value, and the mask of the replicates
+whose solves converged. It keeps the chunk as arrays from the draw to its
+values: it draws the chunk's samples as one block of measures (``_drawn``),
+points ``(R, n, d)`` or one support shared by every row, and weights
+``(R, n)``; it solves their transport problems as one block
+(``sinkhorn._solve_stack``, which cuts the block into kernel stacks within the
+solver's own budget), whose record holds one row per problem; and it reduces
+the record's rows to values, with its converged mask. So small problems share
+each draw's and each half-step's numpy calls, and each converged replicate's
+values are those of a lone run bit for bit. The rate kinds draw an empirical
+measure of n points from a population of at most n atoms on the population's
+own atoms, with count weights (``_empirical``), so a stack of their problems
+shares one support and one Gibbs kernel of the population's size. A chunk
+holds as many replicates as ``_CHUNK_ENTRIES`` entries hold of their draws and
+pairs, d + 2 entries per atom of each side of their largest transport
+operators. A cell whose replicates' largest transport operator has at least
+``_POOL_MIN_ENTRIES`` entries runs chunks of one instead, fanned out to a
+thread pool of at most one worker per usable CPU, and of no more workers than
+``_WORKER_BYTES`` hold of the run's largest operator (as float64, and at most
+``sinkhorn.DENSE_ENTRY_LIMIT`` entries of it); smaller replicates are mostly
+GIL-held numpy calls on short vectors, so their cells run in the calling
+thread, where a second thread would only slow them down. No chunk size or
+thread count changes an output byte. The loop joins the chunks' rows into one
+``(cells, replicates, k)`` block and mask, cells in
 ``itertools.product(dims, eps_list, n_list)`` order, and two reductions turn
 them into results: coverage cells (hit rate and mean half-width) and rate
 curves (one curve per value column, with a log-log slope fit), each over a
@@ -98,29 +99,18 @@ _POOL_MIN_ENTRIES = 1 << 17
 # operator counts as DENSE_ENTRY_LIMIT entries, the most a solve holds.
 _WORKER_BYTES = 1 << 30
 
-# A smaller cell runs its replicates in stacked chunks of as many as fit this
-# many entries (1 MB of float64) of their largest transport operators, and of
-# their solver state (_STATE_ROWS), and a chunk of same-shaped operators may
-# span the cells of its (d, eps) row. A chunk's operator peak is its kernels
-# plus one build's temporaries (a cost slab, or (n + m)(d + 2) entries), as
-# each kernel is built in its slot. A chunk's draws come in blocks (_drawn),
-# and the potential-rate statistic evaluates its extensions in stacks, that
-# each fit this budget. On a 2-vCPU VM, 100 x 100 coverage intervals at eps =
-# 2 took 0.87 ms each in chunks of 13, against 1.50 ms one at a time; 250 x
-# 250 ones about 4% less in chunks of 2. The potential-rate desk cells, in
-# chunks of 4 to 6, ran 1.7x the replicates per second at 4.5% more peak RSS
-# (twice this budget measured +6%). At 20 replicates a cell, drawing the
+# A smaller cell runs its replicates in chunks of as many as fit this many
+# entries (1 MB of float64) of what a statistic holds for them: their draws'
+# coordinates and weights and their pairs' potentials, d + 2 entries per atom
+# of each side of their transport operators. A chunk of same-shaped operators
+# may span the cells of its (d, eps) row. The solver cuts a chunk's problems
+# into kernel stacks within a budget of its own, so a chunk's peak is one
+# kernel stack plus the chunk's rows. A chunk's draws come in blocks
+# (_drawn), and the potential-rate statistic evaluates its extensions in
+# stacks, that each fit this budget. At 20 replicates a cell, drawing the
 # chunks as blocks took 0.85 of the wall time of per-replicate draws, and one
 # chunk per row instead of per cell 0.84 of the rest.
 _CHUNK_ENTRIES = 1 << 17
-
-# A stacked problem's solver state (points, images, residuals, mixing history,
-# weights and results), in float64 rows of its operator's longer side: 2.3 KB
-# a problem in a stack of 10 x 10 count-weighted problems, traced with
-# tracemalloc. A stack shares such a kernel, so from about 450 replicates the
-# state outweighs it; the potential-rate desk row, one chunk of 1000 without
-# this term, peaked at 2.3x the budget traced.
-_STATE_ROWS = 29
 
 
 class ExperimentKind(enum.Enum):
@@ -393,12 +383,6 @@ def _bias_statistic(scenario, d: int, solver: SolverConfig):
     return stat
 
 
-def bias_replicate(P_emp: DiscreteMeasure, Q: DiscreteMeasure,
-                   solver: SolverConfig, truth: float) -> float:
-    """Cost of one empirical problem minus the population cost."""
-    return _solved_cost(P_emp, Q, solver)[2] - truth
-
-
 def _potential_statistic(scenario, d: int, solver: SolverConfig):
     """(holder_sq, sup_sq): the squared grid norm of (empirical minus
     population) f potentials, and its squared sup-norm term alone.
@@ -407,7 +391,7 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
     grid tables, are fixed per (d, eps): they are built here once and
     shared, read-only, by every replicate. A chunk's transport problems,
     which span the cells of a row when the population has at most n atoms,
-    are solved as one stack; its converged extensions are evaluated on those
+    are solved as one block; its converged extensions are evaluated on those
     tables in one run of stacks of as many replicates as fit
     ``_CHUNK_ENTRIES`` entries of grid tables, and f*'s tables are
     subtracted as :class:`PotentialDifference` does, so each value is
@@ -439,6 +423,7 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
         kept = solved.converged
         _, g = _shift(solved.f[kept], solved.g[kept], a[kept], Q.weights,
                       Normalization.ZERO_G_MEAN)
+        del solved  # its pairs are not held beside the grid tables
         values, rows = np.full((len(streams), 2), np.nan), np.flatnonzero(kept)
         for start in range(0, len(g), group):
             values[rows[start:start + group]] = holder_terms(g[start:start + group])
@@ -595,8 +580,8 @@ def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
                 entries = math.prod(shape)
                 if entries >= _POOL_MIN_ENTRIES:
                     size, fan_out = 1, map if pool is None else pool.map
-                else:  # a replicate counts its operator or its solver state
-                    size = max(1, _CHUNK_ENTRIES // max(entries, _STATE_ROWS * max(shape)))
+                else:
+                    size = max(1, _CHUNK_ENTRIES // ((d + 2) * sum(shape)))
                     fan_out = map
                 jobs = [(index, n, r) for index, (_, _, n) in run for r in range(reps)]
 

@@ -152,7 +152,7 @@ def ci_two_sample(P_n: DiscreteMeasure, Q_m: DiscreteMeasure, cfg: SolverConfig,
 
 
 def _ci_two_sample_stack(X, a, Y, b, cfg: SolverConfig, alpha: float) -> tuple:
-    """:func:`ci_two_sample` of each problem of a stack, solved as one
+    """:func:`ci_two_sample` of each problem of a block, solved as one
     (``sinkhorn._solve_stack``; ``a`` and ``b`` are weight rows), as rows
     ``(centers, half_widths, converged)``. Row r is problem r's lone interval
     where ``converged`` is True, which is where its lone solve does not raise

@@ -1,4 +1,5 @@
-"""Test-suite helpers: seeded instances, oracle closures and a forced harness pool."""
+"""Test-suite helpers: seeded instances, oracle closures, a forced harness
+pool and a record of the solver's stacks."""
 
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ import numpy as np
 
 from entot import harness as hz
 from entot import measures as ms
+from entot import sinkhorn as sk
 
 SUITE_SEED = 20250808
 
@@ -79,6 +81,20 @@ def force_pool(monkeypatch, workers=3):
     monkeypatch.setattr(hz, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(hz, "ThreadPoolExecutor", CountingPool)
     return calls
+
+
+def spy_stacks(monkeypatch):
+    """Record the size of every stack the solver sweeps, in sweep order; a
+    stack solved again one problem at a time records a 1 for each."""
+    stacks = []
+    sweep = sk._sweep_stack
+
+    def spy(X, a, *args):
+        stacks.append(len(a))
+        return sweep(X, a, *args)
+
+    monkeypatch.setattr(sk, "_sweep_stack", spy)
+    return stacks
 
 
 def block_rows(block):

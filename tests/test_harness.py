@@ -15,7 +15,7 @@ from entot.errors import ConfigError
 from entot.harness import EmitFormat, ExperimentConfig, ExperimentKind, ScenarioKind
 from entot.sinkhorn import Normalization, SolverConfig
 
-from _util import SUITE_SEED, block_measures, force_pool, random_instance
+from _util import SUITE_SEED, block_measures, force_pool, random_instance, spy_stacks
 
 CONFIG_TEXT = """
 # smoke sweep
@@ -311,6 +311,10 @@ def _spy_statistic(monkeypatch, kind, wrap):
     monkeypatch.setitem(hz._KINDS, kind, (spy, labels, shape))
 
 
+# the solver's stack budgets: stacks of one, of a few, the default, the whole block
+_STACK_BUDGETS = (0, 2_000, sk._STACK_ENTRIES, 1 << 62)
+
+
 @pytest.mark.parametrize("kind, d", [
     *(pytest.param(k, 1, id=k.value) for k in ExperimentKind),
     pytest.param(ExperimentKind.POTENTIAL_RATE, 2, id="potential_rate-d2"),
@@ -324,17 +328,24 @@ def test_output_bytes_do_not_depend_on_the_chunk_size(monkeypatch, kind, d):
         return stat(streams, ns)
 
     _spy_statistic(monkeypatch, kind, record)
-    texts, chunkings = set(), set()
+    stacks = spy_stacks(monkeypatch)
+    texts, chunkings, stackings = set(), set(), set()
     # chunks of one, of a few replicates, the default budget, one chunk per row
-    for budget in (0, 500, 1_000, 2_000, 5_000, 50_000, hz._CHUNK_ENTRIES, 1 << 62):
+    for budget, stack in itertools.product(
+            (0, 400, 500, 1_000, 2_000, 5_000, 50_000, hz._CHUNK_ENTRIES, 1 << 62),
+            _STACK_BUDGETS):
         monkeypatch.setattr(hz, "_CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(sk, "_STACK_ENTRIES", stack)
         chunks.clear()
+        stacks.clear()
         result = hz.run_experiment(cfg, threads=1)
         chunkings.add(tuple(chunks))
+        stackings.add(max(stacks))
         texts.add(tuple(hz.render(result, fmt) for fmt in EmitFormat))
     row = cfg.replicates * len(cfg.n_list)  # one (d, eps) row; the rate cells share a shape
     sizes = {tuple(map(len, chunking)) for chunking in chunkings}
     assert (1,) * row in sizes and (row,) in sizes and len(sizes) >= 3
+    assert {1, row} < stackings  # stacks of one, of a few, and the whole row
     # some budget ends a chunk of several replicates inside a cell
     assert any(len(c) > 1 and end % cfg.replicates
                for chunking in chunkings
@@ -369,9 +380,10 @@ def test_rate_chunks_span_only_cells_of_one_operator_shape(monkeypatch, tmp_path
 
     _spy_statistic(monkeypatch, kind, record)
     texts, chunkings = set(), set()
-    # 2000 entries hold the solver state of 4 replicates on P's 15 atoms
-    for budget in (0, 2_000, 1 << 62):
+    # 400 entries hold the draws and pairs of 3 or 4 replicates on P's 15 atoms
+    for budget, stack in itertools.product((0, 400, 1 << 62), _STACK_BUDGETS):
         monkeypatch.setattr(hz, "_CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(sk, "_STACK_ENTRIES", stack)
         chunks.clear()
         result = hz.run_experiment(cfg, threads=1)
         assert all(set(c) <= {10} or set(c) <= {20, 30} for c in chunks)
@@ -606,7 +618,7 @@ def test_bias_replicate_population_self_test():
     pair, _ = sk.solve(P, Q, SolverConfig(eps=1.0, tol=1e-12, max_iter=10**6))
     truth = sk.cost(P, Q, pair, tol=1e-12)
     # using the population itself as the "empirical" measure gives zero bias
-    assert hz.bias_replicate(P, Q, solver, truth) == pytest.approx(0.0, abs=1e-8)
+    assert sk._solved_cost(P, Q, solver)[2] - truth == pytest.approx(0.0, abs=1e-8)
 
 
 def test_bias_rate_shapes_and_sign_clause():
@@ -651,7 +663,7 @@ def test_bias_rate_controlled_companion():
         for r in range(150):
             stream_r = ms.SplitMix64(hz.derived_seed(SUITE_SEED ^ 0xB1A5, cell, r))
             P_n = ms.sample_empirical(P, n, stream_r)
-            raw = hz.bias_replicate(P_n, Q, solver, truth)
+            raw = sk._solved_cost(P_n, Q, solver)[2] - truth
             zero_idx = (0,) * P.dim
             f_star_on_sample = f_star.evaluate(P_n.points, [zero_idx])[zero_idx]
             control = float(np.mean(f_star_on_sample)) - f_star_mean
@@ -780,21 +792,23 @@ def _check_potential_rate_chunks(monkeypatch, **cells):
 
 
 def test_potential_rate_chunks_stay_within_the_entry_budget(monkeypatch):
-    # _run sizes a chunk so that its replicates' operators (10 x 10, on the
-    # population's atoms) fit _CHUNK_ENTRIES entries, and the statistic
-    # evaluates their extensions in groups whose twelve 41 x 41 grid tables
-    # each fit it too; the traced peak stays below that budget plus a
-    # quarter (0.80 of it measured at n = 50 and 800, in one chunk of 24
-    # across both cells and groups of 6)
+    # _run sizes a chunk so that its replicates' draws and pairs (10 x 10, on
+    # the population's atoms) fit _CHUNK_ENTRIES entries, the solver stacks
+    # their problems within a budget of its own, and the statistic evaluates
+    # their extensions in groups whose twelve 41 x 41 grid tables each fit it
+    # too; the traced peak stays below that budget plus a quarter (0.79 of it
+    # measured at n = 50 and 800, in one chunk of 24 across both cells and
+    # groups of 6)
     _check_potential_rate_chunks(monkeypatch, n_list=(50, 800), replicates=12)
 
 
 def test_potential_rate_desk_row_chunks_stay_within_the_entry_budget(monkeypatch):
     # the desk row, five cells of 200 count-weighted replicates on one 10 x 10
-    # kernel: each problem's solver state outweighs its share of the kernel,
-    # and the chunk budget counts it (_STATE_ROWS), so the row runs as chunks
-    # of 451, 451 and 98 that peak at 1.04 of the budget (one chunk of 1000,
-    # without that term, peaked at 2.3)
+    # kernel, runs as one chunk of 1000 whose problems the solver cuts into
+    # stacks of 451, 451 and 98 (each problem's map state outweighs its share
+    # of the kernel); it peaks at 1.14 of the budget, in the second stack,
+    # beside the first stack's rows (the statistic drops the record before it
+    # builds grid tables: with it, 1.20)
     _check_potential_rate_chunks(monkeypatch)
 
 

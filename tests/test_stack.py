@@ -19,7 +19,7 @@ from entot import sinkhorn as sk
 from entot.errors import NotConverged
 from entot.sinkhorn import SolverConfig
 
-from _util import SUITE_SEED, as_block, block_measures
+from _util import SUITE_SEED, as_block, block_measures, spy_stacks
 
 
 def _problems(count, n=40, m=30, seed=71):
@@ -165,15 +165,20 @@ def test_budget_run_out_inside_a_stack_matches_lone_solves():
         _assert_same(s, _lone(P, Q, cfg))
 
 
-# 13 is the chunk the harness stacks at 100 x 100; a copy of the live kernels
-# when the first problem leaves would hold about 2 * count kernels there
-@pytest.mark.parametrize("count, n", [(13, 100), (2, 250)])
-def test_stack_memory_is_one_kernel_stack_and_one_build(count, n):
-    """The traced peak is the kernel stack, each kernel built in its slot,
-    and one cost slab, plus numpy's two ufunc buffers (``_cost_slabs``'s
-    broadcast subtract takes them) and 64 KiB for the stack's rows."""
+# 13 is the stack the solver cuts at 100 x 100, and 2 at 250 x 250; a copy
+# of the live kernels when the first problem leaves would hold about 2 *
+# count kernels there. A block of 7 at 250 x 250 is cut into stacks of 2, 2,
+# 2 and 1, and holds one stack's kernels at a time.
+@pytest.mark.parametrize("count, n", [(13, 100), (2, 250), (7, 250)])
+def test_stack_memory_is_one_kernel_stack_and_one_build(count, n, monkeypatch):
+    """The traced peak is one stack's kernels, each built in its slot, and
+    one cost slab, plus numpy's two ufunc buffers (``_cost_slabs``'s
+    broadcast subtract takes them) and 64 KiB for the stack's rows, plus the
+    block's rows: its raw and finished pairs and their temporaries, 12 rows
+    of n a problem."""
     Ps, Qs = _problems(count, n=n, m=n, seed=78)
     blocks = as_block(Ps) + as_block(Qs)
+    stacks = spy_stacks(monkeypatch)
     tracemalloc.start()
     try:
         stacked = sk._solve_stack(*blocks, SolverConfig(eps=0.5))
@@ -181,8 +186,62 @@ def test_stack_memory_is_one_kernel_stack_and_one_build(count, n):
     finally:
         tracemalloc.stop()
     assert len(set(stacked.iterations.tolist())) > 1  # leaves at different maps
+    size = sk._STACK_ENTRIES // (n * n)
+    assert stacks == [size] * (count // size) + [count % size] * (count % size > 0)
     slack = 2 * 8 * np.getbufsize() + (64 << 10)
-    assert peak <= count * n * n * 8 + 8 * sk._COST_SLAB_ENTRIES + slack
+    assert peak <= size * n * n * 8 + 8 * sk._COST_SLAB_ENTRIES + slack + 12 * count * n * 8
+
+
+def _assert_rows_are_lone(solved, problems, cfg):
+    """Every field of each row of a block's record is the lone solve's, bit for bit."""
+    assert len(solved.f) == len(problems)
+    for r, (P, Q) in enumerate(problems):
+        lone = sk._solve_stack(*sk._problem(P, Q), cfg)
+        for field, rows, lone_rows in zip(sk._Solved._fields, solved, lone):
+            if rows.dtype.kind == "U":
+                assert str(rows[r]) == str(lone_rows[0]), field
+            else:
+                assert rows[r].tobytes() == lone_rows[0].tobytes(), field
+        _assert_same(_row(solved, r, cfg), _lone(P, Q, cfg))
+
+
+def test_block_cut_into_stacks_matches_lone_solves(monkeypatch):
+    stacks = spy_stacks(monkeypatch)
+    # per-problem supports: 40 x 30 kernels, 1200 entries a problem, in
+    # stacks of 2; the fourth problem, in the second stack, underflows (one
+    # of its atoms sits 31 away from its Q, as in the test above), so that
+    # stack is solved again one problem at a time
+    monkeypatch.setattr(sk, "_STACK_ENTRIES", 2 * 40 * 30)
+    Ps, Qs = _problems(7, seed=73)
+    far = Ps[3].points.copy()
+    far[0] += 31.0
+    Ps[3] = ms.DiscreteMeasure(far, Ps[3].weights)
+    cfg = SolverConfig(eps=1.0)
+    solved = _solved(Ps, Qs, cfg)
+    assert stacks == [2, 2, 1, 1, 2, 1]
+    assert solved.path.tolist() == ["kernel"] * 3 + ["kernel+log"] + ["kernel"] * 3
+    assert len(set(solved.iterations.tolist())) > 1
+    _assert_rows_are_lone(solved, list(zip(Ps, Qs)), cfg)
+    # shared supports with count weights: no kernel a problem, 29 rows of
+    # state on 11 atoms, in stacks of 3. X and Y each hold one more atom 40
+    # away from the rest; every problem but the fifth draws X's once, so only
+    # the fifth one's kernel sums underflow (0.5 * 39**2 > 460.5), and the
+    # middle stack is solved again one problem at a time
+    stream = ms.SeedSpec(SUITE_SEED, 90).stream()
+    P, Q = (ms.uniform_on(stream.uniforms(20).reshape(10, 2)) for _ in range(2))
+    X, Y = (np.vstack([S.points, [[40.0, y]]]) for S, y in ((P, 0.0), (Q, 0.5)))
+    counts = np.hstack([np.rint(11 * _draws(P, 11, 8, seed=96)[1]), np.ones((8, 1))])
+    counts[4] = np.append(np.rint(12 * _draws(P, 12, 1, seed=97)[1][0]), 0.0)
+    a, b = counts / 12, np.append(np.full(10, 11 / 120), 1 / 12)
+    Q = ms.DiscreteMeasure(Y, b)
+    monkeypatch.setattr(sk, "_STACK_ENTRIES", 3 * sk._STATE_ROWS * 11)
+    for eps in (0.05, 1.0):
+        cfg = SolverConfig(eps=eps)
+        stacks.clear()
+        solved = sk._solve_stack(X, a, Y, b, cfg)
+        assert stacks == [3, 3, 1, 1, 1, 2]
+        assert solved.path.tolist() == ["kernel"] * 4 + ["kernel+log"] + ["kernel"] * 3
+        _assert_rows_are_lone(solved, [(ms.DiscreteMeasure(X, w), Q) for w in a], cfg)
 
 
 def test_stack_of_one_is_solve():
