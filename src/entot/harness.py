@@ -7,6 +7,13 @@ its randomness from a stream derived by hashing (master seed, cell index,
 replicate index), so every cell is independently reproducible and results
 are byte-identical across thread counts.
 
+Every rule on a config is checked when :class:`ExperimentConfig` is built, the
+kind rules too (rate kinds need the discrete scenario and strictly increasing
+n, potential-rate d <= 2, and potential-rate and divergence-rate eps = 1), so
+:func:`parse_config` refuses every config that no run accepts. Only the
+measure files named by ``p_file`` and ``q_file`` are checked when a run starts
+(``_DiscreteScenario``), since that needs the files.
+
 One replicate loop runs every kind. It walks the (d, eps) rows of cells,
 builds the kind's statistic once per row, and hands the row's replicates to it
 in chunks, in cell and replicate order. A chunk may run across the cells of a
@@ -50,6 +57,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -67,6 +75,7 @@ from .measures import (
     CompactDomain,
     DiscreteMeasure,
     SplitMix64,
+    _atom_rows,
     _block,
     _draw_rows,
     _empirical_rows,
@@ -77,7 +86,7 @@ from .measures import (
 )
 from .oracle import GaussianPairSpec, gaussian_cost
 from .potentials import (GridSpec, HolderOrder, _extensions, _kernel_tables, _order_terms,
-                         f_extension, multi_indices)
+                         f_extension)
 from .sinkhorn import (Normalization, SolverConfig, _shift, _solve_stack, _solved_cost,
                        normalize, solve)
 
@@ -148,8 +157,15 @@ class ExperimentConfig:
     q_file: str | None = None
 
     def __post_init__(self):
-        for key, conv in (("dims", int), ("eps_list", float), ("n_list", int)):
-            object.__setattr__(self, key, tuple(conv(v) for v in getattr(self, key)))
+        # integers pass operator.index, numpy's too; 2.5 and 100.7 do not
+        try:
+            for key, conv in (("dims", operator.index), ("eps_list", float),
+                              ("n_list", operator.index)):
+                object.__setattr__(self, key, tuple(map(conv, getattr(self, key))))
+            for key in ("replicates", "seed", "atoms"):
+                object.__setattr__(self, key, operator.index(getattr(self, key)))
+        except TypeError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
         if not self.dims or not self.eps_list or not self.n_list:
             raise ConfigError("dims, eps_list, and n_list must be nonempty")
         if any(d < 1 for d in self.dims):
@@ -174,8 +190,15 @@ class ExperimentConfig:
             raise ConfigError(f"a sample of {coords} coordinates exceeds "
                               f"DENSE_ENTRY_LIMIT = {sinkhorn.DENSE_ENTRY_LIMIT}")
         if self.kind is not ExperimentKind.COVERAGE:
+            what = self.kind.value.replace("_", "-")
             if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
                 raise ConfigError("n_list must be strictly increasing for rate runs")
+            if self.scenario is not ScenarioKind.DISCRETE_PAIR:
+                raise ConfigError(f"{what} runs need the discrete scenario (exact truth)")
+            if self.kind is ExperimentKind.POTENTIAL_RATE and max(self.dims) > 2:
+                raise ConfigError("potential-rate runs support d <= 2")
+            if self.kind is not ExperimentKind.BIAS_RATE and self.eps_list != (1.0,):
+                raise ConfigError(f"{what} runs require eps = 1")
         if (self.p_file is None) != (self.q_file is None):
             raise ConfigError("p_file and q_file must be given together")
         if self.p_file is not None and self.scenario is not ScenarioKind.DISCRETE_PAIR:
@@ -399,8 +422,8 @@ def _potential_statistic(scenario, d: int, solver: SolverConfig):
     P, Q = scenario.pair(d)
     pts = GridSpec.default(CompactDomain.enclosing(P, Q)).points()
     s = HolderOrder.for_dimension(d).s
-    alphas = multi_indices(d, s)
     tables = _kernel_tables(pts, Q, solver.eps, s)
+    alphas = tables.betas
     pop_pair, _ = solve(P, Q, _tight_solver(scenario.cfg, solver.eps))
     star = f_extension(normalize(pop_pair, P, Q, Normalization.ZERO_G_MEAN), Q)._evaluate(
         tables, alphas)
@@ -534,29 +557,17 @@ _KINDS = {
 }
 
 
-def _check_kind(cfg: ExperimentConfig, kind: ExperimentKind) -> None:
-    if cfg.kind is not kind:
-        raise ConfigError(f"config kind is {cfg.kind.value}, expected {kind.value}")
-    if kind is ExperimentKind.COVERAGE:
-        return
-    what = kind.value.replace("_", "-")
-    if cfg.scenario is not ScenarioKind.DISCRETE_PAIR:
-        raise ConfigError(f"{what} runs need the discrete scenario (exact truth)")
-    if kind is ExperimentKind.POTENTIAL_RATE and any(d > 2 for d in cfg.dims):
-        raise ConfigError("potential-rate runs support d <= 2")
-    if kind is not ExperimentKind.BIAS_RATE and any(e != 1.0 for e in cfg.eps_list):
-        raise ConfigError(f"{what} runs require eps = 1")
-
-
 def _run(cfg: ExperimentConfig, kind: ExperimentKind, threads: int | None):
     """Every replicate of every cell, reduced to the result of ``kind``.
 
     ``threads`` bounds the pool's workers; None means the usable CPUs, and a
-    value below 1 raises :class:`ValueError` before anything runs.
+    value below 1 raises :class:`ValueError` before anything runs. The
+    config's own kind rules were checked when it was built.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    _check_kind(cfg, kind)
+    if cfg.kind is not kind:
+        raise ConfigError(f"config kind is {cfg.kind.value}, expected {kind.value}")
     scenario = _scenario_for(cfg)
     statistic, labels, operator_shape = _KINDS[kind]
     # at most one worker per replicate and per usable CPU, whatever threads
@@ -719,19 +730,11 @@ def load_config(path) -> ExperimentConfig:
 
 def _header_comments(result) -> list[str]:
     cfg = result.config
-    lines = [
-        f"# kind={cfg.kind.value},scenario={cfg.scenario.value},"
-        f"seed={cfg.seed},alpha={fmt17(cfg.alpha)},replicates={cfg.replicates},"
-        f"tol={fmt17(cfg.solver.tol)},max_iter={cfg.solver.max_iter}"
-    ]
-    for d, P, Q in result.populations:
-        for name, m in (("p", P), ("q", Q)):
-            atoms = ";".join(
-                ",".join(fmt17(v) for v in (w, *pt))
-                for w, pt in zip(m.weights, m.points)
-            )
-            lines.append(f"# population_{name}_d{d}={atoms}")
-    return lines
+    return [f"# kind={cfg.kind.value},scenario={cfg.scenario.value},"
+            f"seed={cfg.seed},alpha={fmt17(cfg.alpha)},replicates={cfg.replicates},"
+            f"tol={fmt17(cfg.solver.tol)},max_iter={cfg.solver.max_iter}",
+            *(f"# population_{name}_d{d}={';'.join(_atom_rows(m))}"
+              for d, P, Q in result.populations for name, m in (("p", P), ("q", Q)))]
 
 
 def _eps_table(cfg, heading: str, rows) -> list[str]:

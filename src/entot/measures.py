@@ -308,10 +308,13 @@ def parse_measure(text: str) -> DiscreteMeasure:
 def write_measure(measure: DiscreteMeasure, path) -> None:
     """Write a measure in the file format accepted by :func:`load_measure`."""
     header = "w," + ",".join(f"x{k}" for k in range(1, measure.dim + 1))
-    rows = [header]
-    for w, pt in zip(measure.weights, measure.points):
-        rows.append(",".join(fmt17(v) for v in (w, *pt)))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join([header, *_atom_rows(measure)]) + "\n", encoding="utf-8")
+
+
+def _atom_rows(measure: DiscreteMeasure) -> list[str]:
+    """One ``w,x1,...,xd`` line per atom, each value at :func:`fmt17`."""
+    return [",".join(fmt17(v) for v in (w, *pt))
+            for w, pt in zip(measure.weights, measure.points)]
 
 
 def _resolve_stream(seed) -> SplitMix64:
@@ -369,12 +372,10 @@ def _gaussian_rows(mean, variance_scale: float, n: int, streams) -> tuple:
     d = mu.shape[0]
     total = n * d
     pairs = (total + 1) // 2
-    bits = _u64_rows(streams, 2 * pairs)
-    # u1 in (0, 1] so the log is finite; u2 in [0, 1)
-    u1 = ((bits[:, 0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-    u2 = (bits[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * math.pi * u2
+    u = _uniform_rows(streams, 2 * pairs)
+    # u1 = u + 2**-53 in (0, 1], exactly, so the log is finite; u2 in [0, 1)
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2] + 2.0**-53))
+    angle = 2.0 * math.pi * u[:, 1::2]
     vals = np.empty((len(streams), 2 * pairs))
     vals[:, 0::2] = radius * np.cos(angle)
     vals[:, 1::2] = radius * np.sin(angle)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,6 +101,8 @@ class SolverConfig:
         _check_eps(self.eps)
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if not isinstance(self.max_iter, numbers.Integral):  # numpy's integers too
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -232,39 +233,49 @@ def test_file_scenario_validation(tmp_path):
 
 
 def test_kind_gates():
-    cov = _tiny_coverage()
-    with pytest.raises(ConfigError):
-        hz.run_bias_rate(cov)
-    rate = ExperimentConfig(
-        kind=ExperimentKind.BIAS_RATE, scenario=ScenarioKind.GAUSSIAN_PAIR,
-        dims=(2,), eps_list=(1.0,), n_list=(10, 20), replicates=2,
-        alpha=0.05, seed=1, solver=SolverConfig(eps=1.0),
-    )
-    with pytest.raises(ConfigError):
-        hz.run_coverage(rate)
-    with pytest.raises(ConfigError, match="discrete"):
-        hz.run_bias_rate(rate)  # gaussian scenario lacks exact discrete truth
-    pot_bad_dim = ExperimentConfig(
-        kind=ExperimentKind.POTENTIAL_RATE, scenario=ScenarioKind.DISCRETE_PAIR,
-        dims=(3,), eps_list=(1.0,), n_list=(10, 20), replicates=2,
-        alpha=0.05, seed=1, solver=SolverConfig(eps=1.0),
-    )
-    with pytest.raises(ConfigError, match="d <= 2"):
-        hz.run_potential_rate(pot_bad_dim)
-    pot_bad_eps = ExperimentConfig(
-        kind=ExperimentKind.POTENTIAL_RATE, scenario=ScenarioKind.DISCRETE_PAIR,
-        dims=(2,), eps_list=(2.0,), n_list=(10, 20), replicates=2,
-        alpha=0.05, seed=1, solver=SolverConfig(eps=1.0),
-    )
-    with pytest.raises(ConfigError, match="eps = 1"):
-        hz.run_potential_rate(pot_bad_eps)
-    div_bad_eps = ExperimentConfig(
-        kind=ExperimentKind.DIVERGENCE_RATE, scenario=ScenarioKind.DISCRETE_PAIR,
-        dims=(2,), eps_list=(0.5,), n_list=(10, 20), replicates=2,
-        alpha=0.05, seed=1, solver=SolverConfig(eps=1.0),
-    )
-    with pytest.raises(ConfigError, match="eps = 1"):
-        hz.run_divergence_rate(div_bad_eps)
+    # a config of one kind is refused by every other kind's run
+    with pytest.raises(ConfigError, match="config kind is coverage, expected bias_rate"):
+        hz.run_bias_rate(_tiny_coverage())
+    with pytest.raises(ConfigError, match="config kind is bias_rate, expected coverage"):
+        hz.run_coverage(_tiny_rate(ExperimentKind.BIAS_RATE))
+    # a config that breaks a kind rule is refused when it is built, so its
+    # text is refused by parse_config, before any run
+    for kind, scenario, d, eps, message in (
+        ("bias_rate", "gaussian", 2, 1.0,
+         "bias-rate runs need the discrete scenario (exact truth)"),
+        ("potential_rate", "discrete", 3, 1.0, "potential-rate runs support d <= 2"),
+        ("potential_rate", "discrete", 2, 2.0, "potential-rate runs require eps = 1"),
+        ("divergence_rate", "discrete", 2, 0.5, "divergence-rate runs require eps = 1"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(
+                kind=ExperimentKind(kind), scenario=ScenarioKind(scenario), dims=(d,),
+                eps_list=(eps,), n_list=(10, 20), replicates=2, alpha=0.05, seed=1,
+                solver=SolverConfig(eps=eps),
+            )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            hz.parse_config(f"kind = {kind}\nscenario = {scenario}\ndims = {d}\n"
+                            f"eps_list = {eps}\nn_list = 10, 20\nreplicates = 2\n"
+                            "alpha = 0.05\nseed = 1\n")
+
+
+# every field that counts something takes integers only, numpy's included
+@pytest.mark.parametrize("key, good, bad", [
+    ("replicates", 3, 2.5), ("seed", 1, 1.5), ("atoms", 10, 10.0), ("dims", (2,), (2.0,)),
+    ("n_list", (100,), (100.7,)),  # int() would have truncated it to 100
+])
+def test_non_integer_config_values_are_refused(key, good, bad):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        replace(_tiny_coverage(), **{key: bad})
+    as_numpy = tuple(map(np.int64, good)) if isinstance(good, tuple) else np.uint64(good)
+    held = getattr(replace(_tiny_coverage(), **{key: as_numpy}), key)
+    assert repr(held) == repr(good)  # held as plain ints
+
+
+def test_non_integer_max_iter_is_refused():
+    assert SolverConfig(eps=1.0, max_iter=np.int64(7)).max_iter == 7
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolverConfig(eps=1.0, max_iter=2.5)
 
 
 def test_run_experiment_dispatch():
@@ -608,6 +619,21 @@ def test_coverage_discrete_scenario_covers_tight_truth():
     assert len(res.populations) == 1
     text = hz.render(res, EmitFormat.CSV_TABLE)
     assert "# population_p_d2=" in text and "# population_q_d2=" in text
+
+
+def test_population_header_lines_parse_back_to_the_populations():
+    cfg = replace(_tiny_rate(ExperimentKind.BIAS_RATE), dims=(1, 3), atoms=7, replicates=2)
+    text = hz.render(hz.run_bias_rate(cfg), EmitFormat.CSV_TABLE)
+    lines = [line for line in text.splitlines() if line.startswith("# population_")]
+    want = [(f"# population_{name}_d{d}=", m)
+            for d, P, Q in hz._scenario_for(cfg).populations() for name, m in (("p", P), ("q", Q))]
+    assert len(lines) == len(want) == 4
+    for line, (prefix, m) in zip(lines, want):
+        assert line.startswith(prefix)
+        header = "w," + ",".join(f"x{k}" for k in range(1, m.dim + 1))
+        back = ms.parse_measure("\n".join([header, *line[len(prefix):].split(";")]))
+        assert back.points.tobytes() == m.points.tobytes() and back.points.shape == m.points.shape
+        assert back.weights.tobytes() == m.weights.tobytes()
 
 
 def test_bias_replicate_population_self_test():

@@ -1,8 +1,9 @@
 """Property tests for the two text formats: experiment configs and measure files.
 
-A drawn config rendered to ``key = value`` text parses back equal, text a key
-cannot convert is rejected with an error that names the key, and a written
-measure file parses back bit for bit.
+A drawn config rendered to ``key = value`` text parses back equal, or is
+refused when it breaks a kind rule; text a key cannot convert is rejected
+with an error that names the key, and a written measure file parses back bit
+for bit.
 """
 
 import enum
@@ -34,7 +35,8 @@ _CONVERTED_KEYS = ("kind", "scenario", "dims", "eps_list", "n_list", "replicates
 
 @st.composite
 def _config_values(draw):
-    """Key -> value of a valid config; optional keys may be absent."""
+    """Key -> value of a config that every rule but the kind rules accepts
+    (:func:`_breaks_a_kind_rule`); optional keys may be absent."""
     kind = draw(st.sampled_from(ExperimentKind))
     # A sample (n or atoms points in the largest dimension) fits the entry
     # limit, the default of 10 atoms too.
@@ -78,9 +80,35 @@ def _render(values) -> str:
     return "# drawn config\n" + "".join(f"{k} = {_text(v)}\n" for k, v in values.items())
 
 
+def _breaks_a_kind_rule(values) -> bool:
+    """Rate kinds need the discrete scenario, potential-rate d <= 2, and
+    potential-rate and divergence-rate eps = 1."""
+    kind = values["kind"]
+    return kind is not ExperimentKind.COVERAGE and (
+        values["scenario"] is not ScenarioKind.DISCRETE_PAIR
+        or (kind is ExperimentKind.POTENTIAL_RATE and max(values["dims"]) > 2)
+        or (kind is not ExperimentKind.BIAS_RATE and values["eps_list"] != [1.0]))
+
+
+# a config that every kind rule accepts, for each rate kind: few drawn ones do
+_RATE_EXAMPLES = [
+    {"kind": kind, "scenario": ScenarioKind.DISCRETE_PAIR, "dims": [2, 1], "eps_list": [1.0],
+     "n_list": [10, 20], "replicates": 2, "alpha": 0.05, "seed": 1}
+    for kind in ExperimentKind if kind is not ExperimentKind.COVERAGE
+]
+
+
 @_SETTINGS
 @hypothesis.given(_config_values())
+@hypothesis.example({**_RATE_EXAMPLES[0], "eps_list": [0.5, 2.0]})
+@hypothesis.example(_RATE_EXAMPLES[0])
+@hypothesis.example(_RATE_EXAMPLES[1])
+@hypothesis.example(_RATE_EXAMPLES[2])
 def test_rendered_config_parses_back_equal(values):
+    if _breaks_a_kind_rule(values):
+        with pytest.raises(ConfigError, match="runs (need|support|require) "):
+            hz.parse_config(_render(values))
+        return
     solver = {k: values[k] for k in ("tol", "max_iter") if k in values}
     want = ExperimentConfig(
         kind=values["kind"], scenario=values["scenario"], dims=tuple(values["dims"]),
